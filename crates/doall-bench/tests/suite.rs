@@ -5,6 +5,7 @@
 //! the `examples/lb_stage.scn` walkthrough scenario runs clean.
 
 use doall_bench::compare::{compare, parse_result_set, BaselineSet};
+use doall_bench::scenario::Scenario;
 use doall_bench::scenarios_dir;
 use doall_bench::suite::{load_dir, load_file, run_scenario, run_suite, SuiteConfig};
 use std::path::PathBuf;
@@ -156,6 +157,42 @@ fn example_lb_stage_scenario_runs_clean() {
         };
         assert_eq!(work_of("lb"), work_of("lb:2"), "d={d}");
     }
+}
+
+/// ObliDo shapes a user may write beyond the exact-contention range
+/// finish: at 14×14 the `contention_lemmas` hook estimates Cont(Σ)
+/// rather than enumerating 14! reference orders, leaves `cont` out (an
+/// estimate only bounds it from below), and `assert primary <= cont`
+/// skips the cell. At 12×12 the value is exact, present and checked.
+#[test]
+fn oblido_beyond_the_exact_contention_range_finishes() {
+    let scn = Scenario::parse(
+        "id = big\ntrace = true\n\
+         grid = algos=oblido advs=stage shapes=12x12,14x14 ds=2 seeds=1 seed=0\n\
+         derive = contention_lemmas\nassert primary <= cont\n",
+    )
+    .unwrap();
+    let outcome = run_scenario(&scn, &SuiteConfig::default()).unwrap();
+    assert_eq!(outcome.cells, 2);
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+    let metric = |t: usize, name: &str| {
+        outcome
+            .records
+            .iter()
+            .find(|r| r.cell.t == t)
+            .unwrap_or_else(|| panic!("missing cell t={t}"))
+            .metrics
+            .get(name)
+            .copied()
+    };
+    assert!(metric(12, "cont").is_some(), "exact at n = 12");
+    assert!(metric(12, "mean_primary").unwrap() <= metric(12, "cont").unwrap());
+    assert_eq!(
+        metric(14, "cont"),
+        None,
+        "no estimate stands in for Cont(Σ)"
+    );
+    assert!(metric(14, "mean_primary").is_some());
 }
 
 /// Failure reports stay actionable end to end: a violated assertion

@@ -39,33 +39,87 @@ pub fn contention_wrt(sigma: &[Permutation], rho: &Permutation) -> usize {
         .sum()
 }
 
-/// Exact `Cont(Σ) = max_ϱ Cont(Σ, ϱ)` by enumerating all `n!` reference
-/// permutations.
+/// Largest `n` for which contention is computed exactly. The subset DP
+/// behind [`contention_exact`] keeps one `u32` per subset of `[n]`, so the
+/// cap bounds what any user-written shape can cost: 16 KiB of table and
+/// `2¹²·12 ≈ 49k` steps per schedule.
+pub(crate) const EXACT_MAX_N: usize = 12;
+
+/// Exact `Cont(Σ) = max_ϱ Cont(Σ, ϱ)`: the `d = 1` case of
+/// [`crate::d_contention_exact`]'s subset DP.
 ///
-/// Cost is `Θ(n! · p · n)`; intended for `n ≤ 8` (the DA(q) regime, where
-/// `q` is a small constant). The paper's own search is likewise
-/// brute-force: "this costs only a constant number of operations …
-/// (however, this cost might be of order `(n!)^n`)".
+/// Cost is `Θ(2ⁿ · n · p)` time and `2ⁿ` words of memory. The paper's
+/// own list search is brute-force: "this costs only a constant number of
+/// operations … (however, this cost might be of order `(n!)^n`)".
 ///
 /// # Panics
 ///
-/// Panics if `sigma` is empty.
+/// Panics if `sigma` is empty, the sizes disagree, or `n > 12`
+/// (use [`contention_of_list`] for larger `n`).
 #[must_use]
 pub fn contention_exact(sigma: &[Permutation]) -> usize {
+    max_over_rho_exact(sigma, 1)
+}
+
+/// `max_ϱ (d)-Cont(Σ, ϱ)` by dynamic programming over subsets, without
+/// enumerating the `n!` reference permutations.
+///
+/// Fill `ϱ`'s ranks from the top down, and let `S` be the set of jobs
+/// already ranked above the next one. Job `x` ranked next is preceded in
+/// `ϱ⁻¹ ∘ π_u` by exactly `|pred_u(x) ∩ S|` larger values, where
+/// `pred_u(x)` is the set of jobs `π_u` runs before `x`. So `x` is a
+/// `d`-left-to-right maximum there iff `|pred_u(x) ∩ S| < d`, which
+/// depends on `S` and `x` only, and
+///
+/// ```text
+/// f(S) = max_{x ∉ S} f(S ∪ {x}) + #{u : |pred_u(x) ∩ S| < d},   f([n]) = 0,
+/// ```
+///
+/// with `(d)-Cont(Σ) = f(∅)`. `d = 1` is plain contention.
+pub(crate) fn max_over_rho_exact(sigma: &[Permutation], d: usize) -> usize {
     assert!(
         !sigma.is_empty(),
         "contention of an empty list is undefined"
     );
     let n = sigma[0].n();
-    Permutation::all(n)
-        .map(|rho| contention_wrt(sigma, &rho))
-        .max()
-        // lint:allow(H001) — invariant: S_n always has at least the identity
-        .expect("S_n is nonempty")
+    assert!(
+        n <= EXACT_MAX_N,
+        "exact contention is capped at n ≤ {EXACT_MAX_N} (got n = {n})"
+    );
+    let p = sigma.len();
+    // pred[x·p + u] = pred_u(x) as a bitmask over jobs.
+    let mut pred = vec![0u32; n * p];
+    for (u, pi) in sigma.iter().enumerate() {
+        assert_eq!(pi.n(), n, "schedule sizes must agree");
+        let mut before = 0u32;
+        for &x in pi.as_slice() {
+            pred[x as usize * p + u] = before;
+            before |= 1 << x;
+        }
+    }
+    let full = (1u32 << n) - 1;
+    // Every S ∪ {x} exceeds S as an integer, so a descending sweep sees
+    // each successor before its subset. f(full) = 0 is the initial value.
+    let mut f = vec![0u32; 1 << n];
+    for s in (0..full).rev() {
+        let mut best = 0u32;
+        let mut free = full & !s;
+        while free != 0 {
+            let x = free.trailing_zeros() as usize;
+            free &= free - 1;
+            let gain = pred[x * p..(x + 1) * p]
+                .iter()
+                .filter(|&&m| ((m & s).count_ones() as usize) < d)
+                .count() as u32;
+            best = best.max(f[(s | 1 << x) as usize] + gain);
+        }
+        f[s as usize] = best;
+    }
+    f[0] as usize
 }
 
 /// Result of a contention computation: the value and whether it is exact
-/// (enumeration over all of `S_n`) or a lower-bound estimate (sampling +
+/// (the maximum over all of `S_n`) or a lower-bound estimate (sampling +
 /// local search over `ϱ`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContentionEstimate {
@@ -90,7 +144,7 @@ pub fn contention_estimate(sigma: &[Permutation], samples: usize, seed: u64) -> 
     maximize_over_rho(sigma, samples, seed, contention_wrt)
 }
 
-/// `Cont(Σ)` with an automatic exact/estimate decision: exact for `n ≤ 8`,
+/// `Cont(Σ)` with an automatic exact/estimate decision: exact for `n ≤ 12`,
 /// sampled estimate (64 samples, seed 0) otherwise.
 ///
 /// # Panics
@@ -102,8 +156,7 @@ pub fn contention_of_list(sigma: &[Permutation]) -> ContentionEstimate {
         !sigma.is_empty(),
         "contention of an empty list is undefined"
     );
-    let n = sigma[0].n();
-    if n <= 8 {
+    if sigma[0].n() <= EXACT_MAX_N {
         ContentionEstimate {
             value: contention_exact(sigma),
             exact: true,
@@ -235,6 +288,18 @@ mod tests {
         let c = contention_of_list(&sigma);
         assert!(c.exact);
         assert_eq!(c.value, contention_exact(&sigma));
+    }
+
+    #[test]
+    #[should_panic(expected = "capped at n ≤ 12")]
+    fn exact_panics_above_the_cap() {
+        let _ = contention_exact(&[Permutation::identity(13)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sizes must agree")]
+    fn exact_panics_on_size_mismatch() {
+        let _ = contention_exact(&[Permutation::identity(3), Permutation::identity(4)]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! `1 − e^{−n ln n · ln(7/e²) − p}`, and Corollary 4.5 extracts the
 //! deterministic lists used by PaDet.
 
-use crate::contention::maximize_over_rho;
+use crate::contention::{max_over_rho_exact, maximize_over_rho, EXACT_MAX_N};
 use crate::{d_lrm, Permutation};
 
 /// `(d)-Cont(Σ, ϱ) = Σ_u (d)-lrm(ϱ⁻¹ ∘ π_u)`.
@@ -37,25 +37,19 @@ pub fn d_contention_wrt(sigma: &[Permutation], rho: &Permutation, d: usize) -> u
         .sum()
 }
 
-/// Exact `(d)-Cont(Σ)` by enumerating all `n!` reference permutations
-/// (`n ≤ 8` territory; see [`crate::contention_exact`] for the cost
-/// discussion).
+/// Exact `(d)-Cont(Σ)` by dynamic programming over the subsets of jobs
+/// already ranked above the next one, in `Θ(2ⁿ · n · p)` time: job `x`
+/// ranked below the set `S` is a `d`-left-to-right maximum of
+/// `ϱ⁻¹ ∘ π_u` iff fewer than `d` of the jobs `π_u` runs before `x` are
+/// in `S`.
 ///
 /// # Panics
 ///
-/// Panics if `sigma` is empty.
+/// Panics if `sigma` is empty, the sizes disagree, or `n > 12`
+/// (use [`d_contention_of_list`] for larger `n`).
 #[must_use]
 pub fn d_contention_exact(sigma: &[Permutation], d: usize) -> usize {
-    assert!(
-        !sigma.is_empty(),
-        "contention of an empty list is undefined"
-    );
-    let n = sigma[0].n();
-    Permutation::all(n)
-        .map(|rho| d_contention_wrt(sigma, &rho, d))
-        .max()
-        // lint:allow(H001) — invariant: S_n always has at least the identity
-        .expect("S_n is nonempty")
+    max_over_rho_exact(sigma, d)
 }
 
 /// Result of a `d`-contention computation (value + exactness flag).
@@ -81,7 +75,7 @@ pub fn d_contention_estimate(sigma: &[Permutation], d: usize, samples: usize, se
 }
 
 /// `(d)-Cont(Σ)` with automatic exact/estimate decision (exact for
-/// `n ≤ 8`).
+/// `n ≤ 12`).
 ///
 /// # Panics
 ///
@@ -92,8 +86,7 @@ pub fn d_contention_of_list(sigma: &[Permutation], d: usize) -> DContentionEstim
         !sigma.is_empty(),
         "contention of an empty list is undefined"
     );
-    let n = sigma[0].n();
-    if n <= 8 {
+    if sigma[0].n() <= EXACT_MAX_N {
         DContentionEstimate {
             d,
             value: d_contention_exact(sigma, d),
@@ -177,9 +170,11 @@ mod tests {
         let sigma_small = vec![Permutation::identity(4)];
         assert!(d_contention_of_list(&sigma_small, 2).exact);
         let mut rng = StdRng::seed_from_u64(3);
-        let sigma_big: Vec<Permutation> =
-            (0..2).map(|_| Permutation::random(20, &mut rng)).collect();
-        assert!(!d_contention_of_list(&sigma_big, 2).exact);
+        for n in [EXACT_MAX_N, EXACT_MAX_N + 1, 20] {
+            let sigma: Vec<Permutation> =
+                (0..2).map(|_| Permutation::random(n, &mut rng)).collect();
+            assert_eq!(d_contention_of_list(&sigma, 2).exact, n <= EXACT_MAX_N);
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * [`d_lrm`] — the paper's generalization: `π(j)` is a
 //!   *d-left-to-right maximum* if fewer than `d` earlier elements exceed it.
 //! * [`contention_of_list`] — `Cont(Σ, ϱ) = Σ_u lrm(ϱ⁻¹ ∘ π_u)` and
-//!   `Cont(Σ) = max_ϱ Cont(Σ, ϱ)` (Anderson & Woll); drives the work bound
-//!   of the tree algorithm DA (Theorem 5.4).
+//!   `Cont(Σ) = max_ϱ Cont(Σ, ϱ)` (Anderson & Woll), exact for `n ≤ 12`
+//!   by a subset DP; drives the work bound of the tree algorithm DA
+//!   (Theorem 5.4).
 //! * [`d_contention_of_list`] — `(d)-Cont(Σ)`, the delay-sensitive
 //!   generalization; `(d)-Cont(Σ)` bounds the work of the schedule
 //!   algorithms PaDet/PaRan1 against any `d`-adversary (Lemma 6.1).

@@ -162,9 +162,9 @@ impl Permutation {
     /// Iterator over all `n!` permutations of `[n]` in lexicographic order
     /// of image vectors.
     ///
-    /// Intended for the exact contention evaluation of small `n` (`n ≤ 8`
-    /// stays under 41k permutations); the iterator is lazy so callers may
-    /// also take prefixes.
+    /// Intended for small `n` (`n ≤ 8` stays under 41k permutations): the
+    /// exhaustive list search and brute-force test oracles. The iterator is
+    /// lazy so callers may also take prefixes.
     ///
     /// # Panics
     ///

@@ -10,7 +10,9 @@
 //!   (using the left-composition invariance of contention to fix
 //!   `π_0 = identity`);
 //! * [`hill_climb_low_contention`] — local search with **exact**
-//!   certification for `q ≤ 8`;
+//!   certification for `q ≤ 8`, each step costing one `O(2^q·q²)` subset
+//!   DP ([`contention_exact`]) rather than an enumeration of `q!`
+//!   reference permutations;
 //! * [`Schedules::random`] — random lists for the large-`n` regime, whose
 //!   `d`-contention is bounded by Theorem 4.4 with overwhelming
 //!   probability (this is what PaDet uses, per Corollary 4.5).
@@ -129,14 +131,14 @@ impl Schedules {
         &self.perms
     }
 
-    /// Contention of this list (exact for `n ≤ 8`, estimated otherwise).
+    /// Contention of this list (exact for `n ≤ 12`, estimated otherwise).
     #[must_use]
     pub fn contention(&self) -> ContentionEstimate {
         contention_of_list(&self.perms)
     }
 
     /// `d`-contention of this list for each `d` in `ds` (exact for
-    /// `n ≤ 8`, estimated otherwise).
+    /// `n ≤ 12`, estimated otherwise).
     #[must_use]
     pub fn d_contention_profile(&self, ds: &[usize]) -> Vec<crate::DContentionEstimate> {
         ds.iter()
@@ -204,8 +206,9 @@ fn search_lists(
 /// of `[q]`, with **exact** contention certification of the result.
 ///
 /// Moves are transpositions within a single schedule; `restarts`
-/// independent starts, first-improvement descent. Affordable up to
-/// `q = 8` (each exact evaluation enumerates `q! ≤ 40320` references).
+/// independent starts, first-improvement descent. Each step certifies its
+/// candidate with [`contention_exact`], a subset DP of `2^q·q·q ≤ 16384`
+/// steps at `q = 8`.
 ///
 /// # Panics
 ///
@@ -258,8 +261,8 @@ pub fn hill_climb_low_contention(q: usize, seed: u64, restarts: usize) -> (Sched
 ///
 /// * `q ≤ 3` — provably optimal (exhaustive);
 /// * `q ≤ 8` — hill-climbing with exact certification;
-/// * otherwise — a random list with an estimated certificate (the
-///   Theorem 4.4 regime).
+/// * otherwise — a random list whose contention is exact for `q ≤ 12`
+///   and estimated beyond (the Theorem 4.4 regime).
 ///
 /// Returns the list and its (certified or estimated) contention.
 ///
@@ -355,9 +358,16 @@ mod tests {
         assert!(c5.exact);
         assert_eq!(s5.len(), 5);
         assert!(c5.value as f64 <= lemma41_bound(5));
+        // Beyond the hill-climb the list is random; its contention stays
+        // exact up to n = 12 and is estimated from n = 13 on.
         let (s12, c12) = low_contention_list(12, 0);
-        assert!(!c12.exact);
+        assert!(c12.exact);
         assert_eq!(s12.len(), 12);
+        assert_eq!(c12.value, contention_exact(s12.as_slice()));
+        let (s13, c13) = low_contention_list(13, 0);
+        assert!(!c13.exact);
+        assert_eq!(s13.len(), 13);
+        assert!((13..=13 * 13).contains(&c13.value));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property-based tests for permutation algebra and contention laws.
 
+use doall_perms::search::low_contention_list;
 use doall_perms::{
-    contention_wrt, d_contention_wrt, d_lrm, dcont_threshold, lrm, Permutation, Schedules,
+    contention_exact, contention_wrt, d_contention_exact, d_contention_wrt, d_lrm, dcont_threshold,
+    lrm, Permutation, Schedules,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -9,6 +11,85 @@ use rand::SeedableRng;
 
 fn random_perm(n: usize, seed: u64) -> Permutation {
     Permutation::random(n, &mut StdRng::seed_from_u64(seed))
+}
+
+/// `Cont(Σ)` by its definition: the maximum of `Cont(Σ, ϱ)` over all `n!`
+/// reference permutations. The library's subset DP must agree with it.
+fn enumerated_contention(sigma: &[Permutation]) -> usize {
+    Permutation::all(sigma[0].n())
+        .map(|rho| contention_wrt(sigma, &rho))
+        .max()
+        .unwrap()
+}
+
+/// `(d)-Cont(Σ)` by its definition, enumerated like
+/// [`enumerated_contention`].
+fn enumerated_d_contention(sigma: &[Permutation], d: usize) -> usize {
+    Permutation::all(sigma[0].n())
+        .map(|rho| d_contention_wrt(sigma, &rho, d))
+        .max()
+        .unwrap()
+}
+
+/// Every list of two permutations of `[n]` for `n ≤ 4`, every `d` in
+/// `0..=n+1`: the subset DP equals the enumeration, including the
+/// degenerate lists (identical schedules, reversals) random draws rarely
+/// produce.
+#[test]
+fn exact_dp_matches_enumeration_on_all_pairs() {
+    for n in 1..=4 {
+        let all: Vec<Permutation> = Permutation::all(n).collect();
+        for a in &all {
+            for b in &all {
+                let sigma = vec![a.clone(), b.clone()];
+                assert_eq!(contention_exact(&sigma), enumerated_contention(&sigma));
+                for d in 0..=n + 1 {
+                    assert_eq!(
+                        d_contention_exact(&sigma, d),
+                        enumerated_d_contention(&sigma, d),
+                        "{sigma:?} d={d}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The certificate `low_contention_list` hands out for DA(q) is the exact
+/// contention of the list it returns, as the enumeration computes it.
+#[test]
+fn low_contention_certificate_matches_enumeration() {
+    for q in 2..=8 {
+        for seed in [0, 1, 7] {
+            let (sched, cont) = low_contention_list(q, seed);
+            assert!(cont.exact, "q={q} seed={seed}");
+            assert_eq!(
+                cont.value,
+                enumerated_contention(sched.as_slice()),
+                "q={q} seed={seed}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The subset DP behind `contention_exact` / `d_contention_exact`
+    /// equals the `n!` enumeration for n ≤ 8, p ∈ 1..=8, d ∈ 0..=n+1.
+    #[test]
+    fn exact_dp_matches_enumeration(
+        n in 1usize..=8,
+        p in 1usize..=8,
+        d_pick in 0usize..=9,
+        seed in any::<u64>(),
+    ) {
+        let sigma: Vec<Permutation> =
+            (0..p).map(|i| random_perm(n, seed.wrapping_add(i as u64))).collect();
+        let d = d_pick % (n + 2);
+        prop_assert_eq!(contention_exact(&sigma), enumerated_contention(&sigma));
+        prop_assert_eq!(d_contention_exact(&sigma, d), enumerated_d_contention(&sigma, d));
+    }
 }
 
 proptest! {
