@@ -1,23 +1,19 @@
-//! The experiment loader: every `e01`–`e17` binary is a suite invocation
-//! over the committed `scenarios/*.scn` files, executed by the shared
-//! sweep engine via [`crate::suite`].
+//! The named derived-metric hooks of the committed experiment suite.
 //!
-//! Experiments used to be a 950-line Rust registry of spec structs and
-//! derive closures; they are now *data* — each scenario file holds its
+//! Every `e01`–`e17` experiment is a `scenarios/*.scn` file run by
+//! `doall test --suite` through [`crate::suite`]. Each file holds its
 //! grids, smoke override, prose, and property assertions (see
 //! [`crate::scenario`] for the format). What stays in Rust is the one
 //! thing a text format cannot express: the derived-metric hooks that
 //! restate the paper's closed-form bounds next to the measurements. A
 //! scenario names its hook with `derive = <name>`; the name table is
-//! [`DERIVE_HOOKS`]. The paper's inequality lemmas (4.2 and 6.1), once
-//! buried in `assert!`s here, are now declarative `assert` lines in the
-//! scenario files — a violation names the exact offending cell instead
-//! of panicking the harness.
+//! [`DERIVE_HOOKS`], which also lists the algorithm keys each hook can
+//! handle, so the scenario loader rejects a mismatched grid before
+//! anything runs. The paper's inequality lemmas (4.2 and 6.1) are
+//! declarative `assert` lines in the scenario files — a violation names
+//! the exact offending cell instead of panicking the harness.
 
 use crate::grid::{schedules_for_algo, Cell, ALGO_NONE};
-use crate::output::{emit, parse_flags, Format, ResultSet, FLAGS_USAGE};
-use crate::scenario::Scenario;
-use crate::suite::{load_dir, run_scenario, SuiteConfig};
 use doall_algorithms::Da;
 use doall_bounds::{da_epsilon, da_upper_bound, lower_bound_work, oblivious_work, pa_upper_bound};
 use doall_core::Instance;
@@ -70,7 +66,7 @@ fn d_contention_lemmas(cell: &Cell, m: &mut BTreeMap<String, f64>) {
         // only bounds Cont(Σ) from below, so `cont` is left out beyond
         // the exact range and the assertion skips the cell.
         let sched = schedules_for_algo(&cell.algo, instance_of(cell), cell.run_seed(0))
-            .expect("oblido keys carry schedules");
+            .expect("the loader admits only schedule-carrying keys here");
         let cont = contention_of_list(sched.as_slice());
         if cont.exact {
             m.insert("cont".to_string(), cont.value as f64);
@@ -95,7 +91,7 @@ fn da_q_of(cell: &Cell) -> usize {
     cell.algo
         .strip_prefix("da:")
         .and_then(|q| q.parse().ok())
-        .expect("DA experiments use da:<q> keys")
+        .expect("the loader admits only da:<q> keys here")
 }
 
 fn da_eps_of(cell: &Cell, m: &mut BTreeMap<String, f64>) -> f64 {
@@ -143,7 +139,7 @@ fn d_dcont_lemma(cell: &Cell, m: &mut BTreeMap<String, f64>) {
     // completion) is a scenario `assert work <= dcont + p when
     // dcont_exact == 1` line.
     let sched = schedules_for_algo(&cell.algo, instance_of(cell), cell.run_seed(0))
-        .expect("padet carries schedules");
+        .expect("the loader admits only schedule-carrying keys here");
     let dc = d_contention_of_list(sched.as_slice(), cell.d as usize);
     m.insert("dcont".to_string(), dc.value as f64);
     m.insert("dcont_exact".to_string(), f64::from(u8::from(dc.exact)));
@@ -168,26 +164,43 @@ fn d_msgs_over_work(cell: &Cell, m: &mut BTreeMap<String, f64>) {
 
 fn d_dcont_list(cell: &Cell, m: &mut BTreeMap<String, f64>) {
     let sched = schedules_for_algo(&cell.algo, instance_of(cell), cell.run_seed(0))
-        .expect("structured-schedule keys carry schedules");
+        .expect("the loader admits only schedule-carrying keys here");
     let dc = d_contention_of_list(sched.as_slice(), cell.d as usize);
     m.insert("dcont".to_string(), dc.value as f64);
     ratio_quadratic(cell, m);
 }
 
+/// The algorithm keys whose schedule list [`schedules_for_algo`]
+/// rebuilds — the lists the `(d)`-Cont hooks measure.
+const SCHEDULE_KEYS: &[&str] = &[
+    "oblido",
+    "oblido-searched",
+    "oblido-worst",
+    "padet",
+    "padet-rot",
+    "padet-affine",
+];
+
 /// Every derived-metric hook a scenario file may name with
-/// `derive = <name>`, sorted by name.
-pub const DERIVE_HOOKS: &[(&str, DeriveFn)] = &[
-    ("contention_lemmas", d_contention_lemmas),
-    ("da_bound", d_da_bound),
-    ("da_epsilon", d_da_epsilon),
-    ("dcont_lemma", d_dcont_lemma),
-    ("dcont_list", d_dcont_list),
-    ("dcont_threshold", d_dcont_threshold),
-    ("lower_bound", d_lower_bound),
-    ("msgs_over_p_work", msgs_over_p_work),
-    ("msgs_over_work", d_msgs_over_work),
-    ("pa_bound", d_pa_bound),
-    ("ratio_quadratic", ratio_quadratic),
+/// `derive = <name>`, sorted by name, with the algorithm keys it can
+/// handle. A key pattern ending in `*` matches by prefix: `da:*` is every
+/// `da:<q>`, and `*` alone is any key.
+pub const DERIVE_HOOKS: &[(&str, &[&str], DeriveFn)] = &[
+    (
+        "contention_lemmas",
+        &[ALGO_NONE, "oblido", "oblido-searched", "oblido-worst"],
+        d_contention_lemmas,
+    ),
+    ("da_bound", &["da:*"], d_da_bound),
+    ("da_epsilon", &["da:*"], d_da_epsilon),
+    ("dcont_lemma", SCHEDULE_KEYS, d_dcont_lemma),
+    ("dcont_list", SCHEDULE_KEYS, d_dcont_list),
+    ("dcont_threshold", &["*"], d_dcont_threshold),
+    ("lower_bound", &["*"], d_lower_bound),
+    ("msgs_over_p_work", &["*"], msgs_over_p_work),
+    ("msgs_over_work", &["*"], d_msgs_over_work),
+    ("pa_bound", &["*"], d_pa_bound),
+    ("ratio_quadratic", &["*"], ratio_quadratic),
 ];
 
 /// Resolves a scenario's `derive = <name>` hook.
@@ -195,8 +208,34 @@ pub const DERIVE_HOOKS: &[(&str, DeriveFn)] = &[
 pub fn derive_by_name(name: &str) -> Option<DeriveFn> {
     DERIVE_HOOKS
         .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, f)| f)
+        .find(|(n, _, _)| *n == name)
+        .map(|&(_, _, f)| f)
+}
+
+/// Checks that derive hook `name` can handle algorithm key `algo` — the
+/// static check the scenario loader runs on every grid, so a hook never
+/// meets a cell it cannot measure.
+///
+/// # Errors
+///
+/// Returns a message naming the unknown hook, or the keys the hook
+/// accepts.
+pub fn check_derive_algo(name: &str, algo: &str) -> Result<(), String> {
+    let Some((_, accepts, _)) = DERIVE_HOOKS.iter().find(|(n, _, _)| *n == name) else {
+        return Err(format!("unknown derive hook `{name}`"));
+    };
+    let matches = |pattern: &str| match pattern.strip_suffix('*') {
+        Some(prefix) => algo.starts_with(prefix),
+        None => algo == pattern,
+    };
+    if accepts.iter().any(|pattern| matches(pattern)) {
+        Ok(())
+    } else {
+        Err(format!(
+            "derive hook `{name}` cannot handle algorithm `{algo}` (it accepts {})",
+            accepts.join(", ")
+        ))
+    }
 }
 
 /// The committed scenario directory: `./scenarios` when invoked from the
@@ -211,114 +250,11 @@ pub fn scenarios_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
-/// Runs the suite and returns whether it is clean: `false` means an
-/// assertion failed or a `--compare` baseline comparison found drift
-/// (the caller exits 1).
-fn run_suite(only: Option<&str>, args: &[String]) -> Result<bool, String> {
-    let flags = parse_flags(args)?;
-    let all = load_dir(&scenarios_dir())?;
-    let ids: Vec<&str> = match only {
-        Some(id) => vec![id],
-        None => match &flags.only {
-            Some(ids) => ids.iter().map(String::as_str).collect(),
-            None => Vec::new(),
-        },
-    };
-    let scenarios: Vec<Scenario> = if ids.is_empty() {
-        all
-    } else {
-        for id in &ids {
-            if !all.iter().any(|s| s.id == *id) {
-                return Err(format!("unknown experiment `{id}`"));
-            }
-        }
-        all.into_iter()
-            .filter(|s| ids.iter().any(|id| *id == s.id))
-            .collect()
-    };
-    let cfg = SuiteConfig {
-        smoke: flags.smoke,
-        threads: flags.threads,
-        shard_size: flags.shard_size,
-        max_ticks: flags.max_ticks,
-    };
-    let human = flags.format == Format::Table;
-    let mut records = Vec::new();
-    let mut failures = Vec::new();
-    for scn in &scenarios {
-        let outcome = run_scenario(scn, &cfg)?;
-        if human {
-            crate::section(&scn.id, &scn.title, &scn.setup);
-            ResultSet {
-                mode: String::new(),
-                records: outcome.records.clone(),
-            }
-            .print_tables();
-            println!("{}", scn.notes);
-        }
-        failures.extend(outcome.failures);
-        records.extend(outcome.records);
-    }
-    let mode = if flags.smoke { "smoke" } else { "full" };
-    let results = ResultSet {
-        mode: mode.to_string(),
-        records,
-    };
-    if !human {
-        emit(&results, &flags)?;
-    }
-    // Assertion failures go to stderr (stdout may carry the results).
-    for failure in &failures {
-        eprintln!("FAIL {failure}");
-    }
-    let mut clean = failures.is_empty();
-    if let Some(path) = &flags.compare {
-        let baseline = crate::compare::load_result_set(path).map_err(|e| e.to_string())?;
-        let current = crate::compare::BaselineSet::of(&results);
-        let comparison = crate::compare::compare(&baseline, &current, flags.tolerance);
-        // The diff goes to stderr too.
-        eprint!("{}", comparison.render_text());
-        clean &= comparison.is_clean();
-    }
-    Ok(clean)
-}
-
-fn main_with(only: Option<&str>) {
-    // lint:allow(D003) — CLI entry point: args select which experiments run, never reach a record
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run_suite(only, &args) {
-        Ok(true) => {}
-        // Assertion failure or baseline drift: exit 1, diff-style (2 is
-        // reserved for errors).
-        Ok(false) => std::process::exit(1),
-        Err(e) if e == "help" => {
-            println!("{FLAGS_USAGE}");
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Entry point for a single experiment binary: parses the shared flags
-/// from `std::env::args` and runs scenario `id` from the committed
-/// suite.
-pub fn experiment_main(id: &str) {
-    main_with(Some(id));
-}
-
-/// Entry point for the `all_experiments` binary: runs the whole
-/// committed suite (or the `--only` subset) in-process and emits one
-/// merged result set.
-pub fn suite_main() {
-    main_with(None);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::run_suite as run_suite_scenarios;
+    use crate::scenario::Scenario;
+    use crate::suite::{load_dir, run_scenario, run_suite, SuiteConfig};
 
     fn committed() -> Vec<Scenario> {
         load_dir(&scenarios_dir()).expect("committed scenarios load")
@@ -429,52 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn suite_compare_is_clean_against_own_output_and_flags_drift() {
-        let args = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
-        let base =
-            std::env::temp_dir().join(format!("doall_suite_compare_{}.json", std::process::id()));
-        let base = base.to_str().unwrap().to_string();
-        // e05 is pure combinatorics (`none` cells) — cheap to run twice.
-        let clean = run_suite(
-            None,
-            &args(&format!("--smoke --only e05 --json --out {base}")),
-        )
-        .unwrap();
-        assert!(clean, "no --compare given");
-        let clean = run_suite(
-            None,
-            &args(&format!(
-                "--smoke --only e05 --json --out {base}.2 --compare {base}"
-            )),
-        )
-        .unwrap();
-        assert!(clean, "a deterministic rerun must match its own baseline");
-        // Doctor one value in the baseline: the rerun must flag drift.
-        let doctored =
-            std::fs::read_to_string(&base)
-                .unwrap()
-                .replacen("\"dcont\": ", "\"dcont\": 9", 1);
-        std::fs::write(&base, doctored).unwrap();
-        let clean = run_suite(
-            None,
-            &args(&format!(
-                "--smoke --only e05 --json --out {base}.2 --compare {base}"
-            )),
-        )
-        .unwrap();
-        assert!(
-            !clean,
-            "a doctored baseline value must be reported as drift"
-        );
-        assert!(
-            run_suite(None, &args("--smoke --only e99 --json")).is_err(),
-            "unknown ids are rejected"
-        );
-        let _ = std::fs::remove_file(&base);
-        let _ = std::fs::remove_file(format!("{base}.2"));
-    }
-
-    #[test]
     fn lemma_scenarios_pass_their_declarative_assertions_in_smoke() {
         let scenarios = committed();
         let cfg = SuiteConfig {
@@ -490,21 +380,47 @@ mod tests {
             .filter(|s| s.id == "e04" || s.id == "e10")
             .collect();
         assert_eq!(subset.len(), 2);
-        let report = run_suite_scenarios(&subset, &cfg).unwrap();
+        let report = run_suite(&subset, &cfg).unwrap();
         assert!(report.is_clean(), "{}", report.render_table());
         assert!(report.scenarios.iter().all(|s| s.checks > 0));
     }
 
     #[test]
     fn derive_hooks_resolve_by_name() {
-        for (name, _) in DERIVE_HOOKS {
+        for (name, _, _) in DERIVE_HOOKS {
             assert!(derive_by_name(name).is_some(), "{name}");
         }
         assert!(derive_by_name("frobnicate").is_none());
         // The table is sorted so the docs render predictably.
-        let names: Vec<&str> = DERIVE_HOOKS.iter().map(|(n, _)| *n).collect();
+        let names: Vec<&str> = DERIVE_HOOKS.iter().map(|(n, _, _)| *n).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);
+    }
+
+    #[test]
+    fn schedule_keys_are_exactly_the_keys_that_carry_schedules() {
+        // t = 5 is prime, so padet-affine has its list too.
+        let instance = Instance::new(4, 5).unwrap();
+        for key in [
+            "soloall",
+            "oblido",
+            "oblido-searched",
+            "oblido-worst",
+            "da:3",
+            "paran1",
+            "paran2",
+            "padet",
+            "padet-rot",
+            "padet-affine",
+            "gossip:2",
+            ALGO_NONE,
+        ] {
+            assert_eq!(
+                schedules_for_algo(key, instance, 0).is_some(),
+                SCHEDULE_KEYS.contains(&key),
+                "{key}"
+            );
+        }
     }
 }

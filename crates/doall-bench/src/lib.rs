@@ -1,32 +1,26 @@
 //! The experiment harness: declarative scenario grids, a parallel sweep
 //! engine, machine-readable results, and the scenario-suite runner that
 //! executes the committed `scenarios/*.scn` files (every `e01`–`e17`
-//! experiment is such a file — data, not Rust).
-//!
-//! Each experiment is a thin binary under `src/bin/` that calls
-//! [`experiment_main`]; `all_experiments` runs the whole committed suite
-//! in-process via [`suite_main`], and `doall test --suite <dir>` runs
-//! any scenario directory. All binaries share the same flags (`--smoke`,
-//! `--json`, `--csv`, `--threads N`, `--shard-size N`, `--out PATH`,
-//! `--max-ticks N`) — see [`output::FLAGS_USAGE`].
+//! experiment is such a file — data, not Rust). The `doall` binary is
+//! the one entry point: `doall test --suite scenarios/` runs the suite,
+//! `doall sweep` runs an ad-hoc grid.
 //!
 //! ```text
-//! cargo run --release -p doall-bench --bin all_experiments            # full tables
-//! cargo run --release -p doall-bench --bin all_experiments -- \
-//!     --smoke --json --out bench-smoke.json                          # the CI artifact
+//! doall test --suite scenarios/ --only e05                 # one experiment
+//! doall test --suite scenarios/ --smoke \
+//!     --record --baseline bench-smoke.json                 # the CI artifact
 //! ```
 //!
 //! The module split mirrors the pipeline: [`scenario`] (the `*.scn` file
 //! format: grids + assertions) → [`grid`] (what to run) → [`sweep`] (run
 //! it, in parallel, deterministically) → [`resultset`] (the record
-//! schema and its deterministic JSON/CSV renderers) → [`output`] (which
-//! rendering, and where it goes), with [`suite`] orchestrating
-//! discovery, assertion evaluation, and the pass/fail report, and
-//! [`experiments`] holding the named derived-metric hooks plus the
-//! binary entry points. On top of the per-run pipeline sit the
-//! trajectory modules: [`mod@compare`] diffs two result sets, [`history`]
-//! keeps the append-only `HISTORY.jsonl` ledger (one entry per landed
-//! PR), and [`trend`] turns the ledger into sparklines, slopes, and the
+//! schema and its deterministic JSON/CSV renderers), with [`suite`]
+//! orchestrating discovery, assertion evaluation, and the pass/fail
+//! report, and [`experiments`] holding the named derived-metric hooks.
+//! On top of the per-run pipeline sit the trajectory modules:
+//! [`mod@compare`] diffs two result sets, [`history`] keeps the
+//! append-only `HISTORY.jsonl` ledger (one entry per landed PR), and
+//! [`trend`] turns the ledger into sparklines, slopes, and the
 //! cumulative band gate behind `doall trend`.
 
 #![forbid(unsafe_code)]
@@ -36,7 +30,6 @@ pub mod compare;
 pub mod experiments;
 pub mod grid;
 pub mod history;
-pub mod output;
 pub mod resultset;
 pub mod scenario;
 pub mod suite;
@@ -48,14 +41,15 @@ pub use compare::{
     BaselineSet, CellDiff, CellKey, CellStatus, CompareError, Comparison, MetricDelta,
     DIFF_SCHEMA_VERSION,
 };
-pub use experiments::{derive_by_name, experiment_main, scenarios_dir, suite_main, DeriveFn};
+pub use experiments::{derive_by_name, scenarios_dir, DeriveFn};
 pub use grid::{AdversarySpec, Cell, CrashStagger, Grid, GridError};
 pub use history::{
     append_entry, load_history, parse_entry, parse_history, History, HistoryEntry, HistoryError,
     HISTORY_SCHEMA_VERSION,
 };
-pub use output::{Flags, Format, Record, ResultSet, SCHEMA_VERSION};
-pub use resultset::{canonical_adversary, parse_json, Json, ResultSetError};
+pub use resultset::{
+    canonical_adversary, parse_json, Json, Record, ResultSet, ResultSetError, SCHEMA_VERSION,
+};
 pub use scenario::{Assertion, Scenario, ScenarioError};
 pub use suite::{
     load_dir, run_scenario, run_suite, AssertionFailure, ScenarioOutcome, SuiteConfig, SuiteReport,
@@ -129,12 +123,6 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
     }
-}
-
-/// Prints an experiment header in the format EXPERIMENTS.md collates.
-pub fn section(id: &str, reproduces: &str, setup: &str) {
-    println!("\n## {id} — {reproduces}\n");
-    println!("{setup}\n");
 }
 
 /// Formats a float compactly for table cells.

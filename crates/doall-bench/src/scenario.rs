@@ -46,8 +46,11 @@
 //!   zero follows IEEE (and a NaN comparison fails the assertion).
 //!
 //! Parsing and rendering are exact inverses (`parse ∘ render ≡ id`,
-//! property-tested), and malformed lines report their line number.
+//! property-tested), and malformed lines report their line number —
+//! including a grid naming an algorithm the `derive` hook cannot handle
+//! ([`crate::experiments::check_derive_algo`]).
 
+use crate::experiments::{check_derive_algo, derive_by_name};
 use crate::grid::{Cell, Grid};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -858,11 +861,16 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] naming the offending line (or the
-    /// file-level problem: missing `id`, no `grid`).
+    /// file-level problem: missing `id`, no `grid`). An unknown `derive`
+    /// hook, or a grid algorithm the hook cannot handle, is an error on
+    /// the `derive` or grid line.
     pub fn parse(text: &str) -> Result<Self, ScenarioError> {
         let mut s = Scenario::default();
         let mut seen_id = false;
         let mut seen: BTreeMap<&'static str, usize> = BTreeMap::new();
+        // Line numbers of the `grid` and `smoke` lines, in the order of
+        // `s.grids` then `s.smoke`, for the derive-hook check below.
+        let (mut grid_lines, mut smoke_lines) = (Vec::new(), Vec::new());
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = raw.trim();
@@ -941,14 +949,25 @@ impl Scenario {
                     let grid =
                         Grid::parse(value).map_err(|e| err_at(lineno, format!("bad grid: {e}")))?;
                     s.grids.push(grid);
+                    grid_lines.push(lineno);
                 }
                 "smoke" => {
                     let grid = Grid::parse(value)
                         .map_err(|e| err_at(lineno, format!("bad smoke grid: {e}")))?;
                     s.smoke.push(grid);
+                    smoke_lines.push(lineno);
                 }
                 "derive" => {
                     scalar("derive")?;
+                    if derive_by_name(value).is_none() {
+                        return Err(err_at(
+                            lineno,
+                            format!(
+                                "unknown derive hook `{value}` \
+                                 (see doall_bench::experiments::DERIVE_HOOKS)"
+                            ),
+                        ));
+                    }
                     s.derive = Some(value.to_string());
                 }
                 other => {
@@ -967,6 +986,14 @@ impl Scenario {
         }
         if s.grids.is_empty() {
             return Err(err_at(0, format!("scenario `{}` has no `grid` line", s.id)));
+        }
+        if let Some(name) = &s.derive {
+            let lines = grid_lines.iter().chain(&smoke_lines);
+            for (&lineno, grid) in lines.zip(s.grids.iter().chain(&s.smoke)) {
+                for algo in &grid.algos {
+                    check_derive_algo(name, algo).map_err(|e| err_at(lineno, e))?;
+                }
+            }
         }
         Ok(s)
     }
@@ -1092,6 +1119,13 @@ assert agg max(ratio_quadratic) < 10
             ("id = e01\ngrid = algos=nope shapes=2x2\n", 2, "bad grid"),
             ("id = e01\nassert work >=\n", 2, "expected an expression"),
             ("id = e01\nassert work ?? t\n", 2, "unexpected character"),
+            ("id = e01\nderive = frob\n", 2, "unknown derive hook `frob`"),
+            (
+                "id = e01\nderive = da_bound\ngrid = algos=da:3 shapes=2x2\n\
+                 smoke = algos=padet shapes=2x2\n",
+                4,
+                "`da_bound` cannot handle algorithm `padet`",
+            ),
         ];
         for (text, line, needle) in cases {
             let e = Scenario::parse(text).expect_err(text);

@@ -3,12 +3,11 @@
 //! assertions, and render an aggregated pass/fail report (optionally
 //! diffed against a committed baseline).
 //!
-//! This is the engine behind `doall test --suite <dir>` and the thin
-//! experiment loader in [`crate::experiments`]. Determinism contract:
-//! discovery sorts paths, cells are seeded from each scenario's own grid
-//! spec (never from file order or execution order), and the merged
-//! [`ResultSet`] is byte-identical across worker counts, shard sizes,
-//! and directory-listing order.
+//! This is the engine behind `doall test --suite <dir>`. Determinism
+//! contract: discovery sorts paths, cells are seeded from each
+//! scenario's own grid spec (never from file order or execution order),
+//! and the merged [`ResultSet`] is byte-identical across worker counts,
+//! shard sizes, and directory-listing order.
 
 use crate::compare::Comparison;
 use crate::experiments::derive_by_name;
@@ -67,7 +66,8 @@ pub fn discover(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(paths)
 }
 
-/// Parses one scenario file, checking its derive hook exists.
+/// Parses one scenario file (which checks its derive hook exists and
+/// accepts every grid algorithm) and validates its grids.
 ///
 /// # Errors
 ///
@@ -76,14 +76,6 @@ pub fn load_file(path: &Path) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let scn = Scenario::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    if let Some(name) = &scn.derive {
-        if derive_by_name(name).is_none() {
-            return Err(format!(
-                "{}: unknown derive hook `{name}` (see doall_bench::experiments::DERIVE_HOOKS)",
-                path.display()
-            ));
-        }
-    }
     for grid in scn.grids.iter().chain(scn.smoke.iter()) {
         grid.validate()
             .map_err(|e| format!("{}: invalid grid `{grid}`: {e}", path.display()))?;
@@ -640,6 +632,7 @@ mod tests {
         .unwrap();
         let e = load_file(&path).unwrap_err();
         assert!(e.contains("unknown derive hook `frob`"), "{e}");
+        assert!(e.contains("line 3"), "{e}");
         std::fs::remove_dir_all(&dir).unwrap();
         assert!(discover(Path::new("/nonexistent-doall")).is_err());
     }

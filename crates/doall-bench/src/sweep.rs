@@ -205,7 +205,7 @@ impl CellMeasurement {
     /// single definition of the measured half of the output schema
     /// (`mean/median/max work` & `messages`, `completed`, and the traced
     /// execution-profile means where present). Every producer of
-    /// [`crate::output::Record`]s starts from this map so CLI sweeps,
+    /// [`crate::resultset::Record`]s starts from this map so CLI sweeps,
     /// experiment runs, and tests cannot drift apart.
     #[must_use]
     pub fn metrics(&self) -> std::collections::BTreeMap<String, f64> {

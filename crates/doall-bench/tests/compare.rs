@@ -6,8 +6,8 @@
 
 use doall_bench::compare::{compare, parse_result_set, BaselineSet, CellStatus, Comparison};
 use doall_bench::grid::Grid;
-use doall_bench::output::{Record, ResultSet};
 use doall_bench::sweep::{run_cells, SweepConfig};
+use doall_bench::{Record, ResultSet};
 
 fn results(grid: &Grid, threads: usize) -> ResultSet {
     let cfg = SweepConfig {

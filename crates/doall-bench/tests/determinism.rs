@@ -9,8 +9,8 @@
 
 use doall_bench::compare::MEASURED_ONLY_METRICS;
 use doall_bench::grid::{Backend, Grid};
-use doall_bench::output::{Record, ResultSet};
 use doall_bench::sweep::{run_cells, run_cells_with_stats, SweepConfig};
+use doall_bench::{Record, ResultSet};
 
 fn render_with(grid: &Grid, cfg: &SweepConfig) -> (String, String) {
     let measurements = run_cells(&grid.cells(), cfg).expect("grid runs");

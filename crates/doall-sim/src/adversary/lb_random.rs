@@ -6,8 +6,8 @@
 //! flips), so the proof replaces it with an *online* rule, illustrated in
 //! the paper's Fig. 1:
 //!
-//! * stages of `L = min{d, ⌈t/6⌉}` units, stage-boundary delivery (as in
-//!   Theorem 3.1);
+//! * stages of `L = min{d, max(⌊t/6⌋, 1)}` units, stage-boundary
+//!   delivery (as in Theorem 3.1);
 //! * at the start of stage `s`, the adversary fixes a defended set
 //!   `J_s ⊆ U_s` of `⌈u_s/(L+1)⌉` unperformed tasks — Lemma 3.3 proves a
 //!   good choice exists for *any* task distribution, and for the

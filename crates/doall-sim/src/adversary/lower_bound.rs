@@ -3,10 +3,11 @@
 //!
 //! Construction (following the proof):
 //!
-//! * Computation is partitioned into *stages* of `L = min{d, ⌈t/6⌉}` time
-//!   units. Every message submitted during a stage is delivered exactly at
-//!   the stage's end, so no information crosses a stage boundary inward —
-//!   legal for a d-adversary because `L ≤ d`.
+//! * Computation is partitioned into *stages* of
+//!   `L = min{d, max(⌊t/6⌋, 1)}` time units. Every message submitted
+//!   during a stage is delivered exactly at the stage's end, so no
+//!   information crosses a stage boundary inward — legal for a
+//!   d-adversary because `L ≤ d`.
 //! * At the start of stage `s`, with `U_s` the still-unperformed tasks
 //!   (`u_s = |U_s|`), the adversary *dry-runs* every processor for `L`
 //!   steps (cloning its state machine and feeding it the messages that are

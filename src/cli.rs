@@ -41,7 +41,7 @@ use doall_bench::grid::{
     Grid,
 };
 use doall_bench::history::{append_entry, load_history, HistoryEntry};
-use doall_bench::output::{emit, Flags, Format, Record, ResultSet};
+use doall_bench::resultset::{Record, ResultSet};
 use doall_bench::suite::{load_dir, run_suite, SuiteConfig};
 use doall_bench::sweep::{run_cells, SweepConfig};
 use doall_bench::trend::{analyze, parse_band, Band, TrendConfig};
@@ -124,6 +124,40 @@ pub struct SweepSpec {
     /// Drift tolerance for `--compare` (default 0 — results are
     /// deterministic, so any drift on an unchanged grid is a regression).
     pub tolerance: f64,
+}
+
+/// Output format of `sweep`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Format {
+    /// Human-readable Markdown tables (the default).
+    #[default]
+    Table,
+    /// Deterministic JSON (see [`ResultSet::to_json`]).
+    Json,
+    /// Long-format CSV.
+    Csv,
+}
+
+/// Renders `results` in `format` and delivers it to `out` (or stdout).
+/// Tables always go to stdout.
+fn emit(results: &ResultSet, format: Format, out: Option<&str>) -> Result<(), String> {
+    let rendered = match format {
+        Format::Table => {
+            results.print_tables();
+            return Ok(());
+        }
+        Format::Json => results.to_json(),
+        Format::Csv => results.to_csv(),
+    };
+    match out {
+        Some(path) => {
+            std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))
+        }
+        None => {
+            print!("{rendered}");
+            Ok(())
+        }
+    }
 }
 
 /// Parameters of the `test` subcommand: a scenario directory plus the
@@ -300,7 +334,7 @@ replicate-chunk) shards across a thread pool with per-replicate
 deterministic seeding, so --threads and --shard-size change wall-clock
 only, never a number — a single huge cell spreads across every worker.
 --json / --csv emit the machine-readable schema CI archives (see
-BENCH_sweep.json).
+BENCH_smoke_baseline.json).
 
 `test` discovers every *.scn file under --suite (recursively, sorted by
 path), runs each scenario's grids through the same sweep harness, and
@@ -458,10 +492,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         }
                         max_ticks = Some(n);
                     }
-                    // Same semantics as the experiment binaries' shared
-                    // parser (doall_bench::output::parse_flags): the two
-                    // formats conflict, and --out without a format means
-                    // JSON (a file of Markdown tables is never the ask).
+                    // The two formats conflict, and --out without a format
+                    // means JSON (a file of Markdown tables is never the ask).
                     "--json" => {
                         if format == Format::Csv {
                             return Err(err("--json conflicts with --csv"));
@@ -949,15 +981,10 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                 mode: "custom".to_string(),
                 records,
             };
-            let flags = Flags {
-                format: spec.format,
-                out: spec.out.clone(),
-                ..Flags::default()
-            };
             if spec.format == Format::Table {
                 println!("sweep | {}", spec.grid);
             }
-            emit(&results, &flags).map_err(err)?;
+            emit(&results, spec.format, spec.out.as_deref()).map_err(err)?;
             if let Some(baseline_path) = &spec.compare {
                 let baseline = load_result_set(baseline_path).map_err(|e| err(e.to_string()))?;
                 let current = BaselineSet::of(&results);
@@ -1338,6 +1365,36 @@ mod tests {
     fn execute_sweep_small() {
         let cmd = parse(&args("sweep --algo soloall -p 2 -t 4")).unwrap();
         execute(&cmd).unwrap();
+    }
+
+    #[test]
+    fn emit_writes_the_selected_format_to_out() {
+        let mut metrics = std::collections::BTreeMap::new();
+        metrics.insert("mean_work".to_string(), 64.0);
+        let set = ResultSet {
+            mode: "smoke".to_string(),
+            records: vec![Record {
+                experiment: "e01".to_string(),
+                cell: doall_bench::grid::Cell {
+                    algo: "soloall".to_string(),
+                    adversary: AdversarySpec::Stage,
+                    p: 4,
+                    t: 16,
+                    d: 1,
+                    seeds: 2,
+                    cell_seed: 7,
+                    backend: None,
+                },
+                metrics,
+            }],
+        };
+        let path = std::env::temp_dir().join(format!("doall_emit_{}.json", std::process::id()));
+        let path_str = path.to_str().unwrap();
+        emit(&set, Format::Json, Some(path_str)).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), set.to_json());
+        emit(&set, Format::Csv, Some(path_str)).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), set.to_csv());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -72,3 +72,36 @@ fn lint_report_is_bit_equal_across_process_invocations() {
         "lint reports drifted across process invocations"
     );
 }
+
+#[test]
+fn recorded_suite_is_bit_equal_across_process_invocations() {
+    // The scenario-loader path end to end: one committed experiment,
+    // recorded by the real binary in two fresh processes.
+    let suite = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+    let record = |tag: &str| {
+        let out = out_path(tag);
+        let _ = std::fs::remove_file(&out);
+        let output = Command::new(env!("CARGO_BIN_EXE_doall"))
+            .args(["test", "--suite", suite, "--smoke", "--only", "e05"])
+            .arg("--record")
+            .arg("--baseline")
+            .arg(&out)
+            .output()
+            .expect("spawn doall");
+        assert!(
+            output.status.success(),
+            "doall test --record failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let bytes = std::fs::read_to_string(&out).expect("read recorded baseline");
+        let _ = std::fs::remove_file(&out);
+        bytes
+    };
+    let first = record("e05_a");
+    let second = record("e05_b");
+    assert!(first.contains("\"experiment\": \"e05\""), "{first}");
+    assert_eq!(
+        first, second,
+        "recorded e05 result sets drifted across processes"
+    );
+}
