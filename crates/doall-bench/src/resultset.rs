@@ -302,10 +302,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so without a cap a hostile file of nested
+/// `[` overflows the stack; the committed result sets and ledgers nest
+/// four levels deep.
+const MAX_JSON_DEPTH: usize = 256;
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -314,6 +321,7 @@ impl<'a> Parser<'a> {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -356,8 +364,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, ResultSetError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b'n') => self.eat_literal("null", Json::Null),
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
@@ -366,6 +374,21 @@ impl<'a> Parser<'a> {
             Some(other) => Err(self.fail(&format!("unexpected byte `{}`", other as char))),
             None => Err(self.fail("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, within
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ResultSetError>,
+    ) -> Result<Json, ResultSetError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.fail(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, ResultSetError> {
@@ -611,6 +634,7 @@ impl BaselineSet {
     /// or if the set holds duplicate cell keys.
     #[must_use]
     pub fn of(results: &ResultSet) -> Self {
+        // lint:allow(H001) — `# Panics` contract: parses our own JSON, not a user file
         parse_result_set(&results.to_json()).expect("the harness's own JSON round-trips")
     }
 }
@@ -927,6 +951,19 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "`{bad}` should fail");
         }
+    }
+
+    #[test]
+    fn json_nesting_past_the_cap_is_a_located_error() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nest(MAX_JSON_DEPTH)).is_ok());
+        let e = parse_json(&nest(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            format!(
+                "JSON error at byte {MAX_JSON_DEPTH}: nesting deeper than {MAX_JSON_DEPTH} levels"
+            )
+        );
     }
 
     #[test]

@@ -438,14 +438,14 @@ impl Assertion {
                         FILTER_KEYS.join("|")
                     ));
                 }
-                p.expect(&Tok::Assign, "=")?;
+                p.expect_tok(&Tok::Assign, "=")?;
                 let value = p.filter_value()?;
                 filters.push((key, value));
                 if !p.eat(&Tok::Comma) {
                     break;
                 }
             }
-            p.expect(&Tok::RBracket, "]")?;
+            p.expect_tok(&Tok::RBracket, "]")?;
         }
         let lhs = p.expr()?;
         let cmp = p.cmp()?;
@@ -617,9 +617,19 @@ enum Tok {
     Comma,
 }
 
+/// Deepest expression an assertion may nest: each parenthesis, function
+/// call and chained operator counts one level. Parsing, evaluation and
+/// rendering all recurse per level, so without a cap a hostile `.scn`
+/// line overflows the stack; the committed scenarios nest at most three
+/// levels.
+const MAX_EXPR_DEPTH: usize = 256;
+
 struct Tokens {
     toks: Vec<Tok>,
     pos: usize,
+    /// Expression nesting at the current position (see
+    /// [`MAX_EXPR_DEPTH`]).
+    depth: usize,
 }
 
 impl Tokens {
@@ -705,7 +715,11 @@ impl Tokens {
                 other => return Err(format!("unexpected character `{other}`")),
             }
         }
-        Ok(Tokens { toks, pos: 0 })
+        Ok(Tokens {
+            toks,
+            pos: 0,
+            depth: 0,
+        })
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -738,7 +752,7 @@ impl Tokens {
         }
     }
 
-    fn expect(&mut self, tok: &Tok, what: &str) -> Result<(), String> {
+    fn expect_tok(&mut self, tok: &Tok, what: &str) -> Result<(), String> {
         if self.eat(tok) {
             Ok(())
         } else {
@@ -779,63 +793,87 @@ impl Tokens {
         }
     }
 
+    /// Goes one expression level deeper, within [`MAX_EXPR_DEPTH`].
+    fn deeper(&mut self) -> Result<(), String> {
+        self.depth += 1;
+        if self.depth > MAX_EXPR_DEPTH {
+            return Err(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            ));
+        }
+        Ok(())
+    }
+
     fn expr(&mut self) -> Result<Expr, String> {
+        let depth = self.depth;
         let mut lhs = self.term()?;
         loop {
             if self.eat(&Tok::Plus) {
+                self.deeper()?;
                 lhs = Expr::Add(Box::new(lhs), Box::new(self.term()?));
             } else if self.eat(&Tok::Minus) {
+                self.deeper()?;
                 lhs = Expr::Sub(Box::new(lhs), Box::new(self.term()?));
             } else {
+                self.depth = depth;
                 return Ok(lhs);
             }
         }
     }
 
     fn term(&mut self) -> Result<Expr, String> {
+        let depth = self.depth;
         let mut lhs = self.factor()?;
         loop {
             if self.eat(&Tok::Star) {
+                self.deeper()?;
                 lhs = Expr::Mul(Box::new(lhs), Box::new(self.factor()?));
             } else if self.eat(&Tok::Slash) {
+                self.deeper()?;
                 lhs = Expr::Div(Box::new(lhs), Box::new(self.factor()?));
             } else {
+                self.depth = depth;
                 return Ok(lhs);
             }
         }
     }
 
     fn factor(&mut self) -> Result<Expr, String> {
-        match self.next() {
-            Some(Tok::Num(v)) => Ok(Expr::Num(v)),
+        let depth = self.depth;
+        let e = match self.next() {
+            Some(Tok::Num(v)) => Expr::Num(v),
             Some(Tok::LParen) => {
+                self.deeper()?;
                 let e = self.expr()?;
-                self.expect(&Tok::RParen, ")")?;
-                Ok(e)
+                self.expect_tok(&Tok::RParen, ")")?;
+                e
             }
             Some(Tok::Ident(name)) => {
                 if self.eat(&Tok::LParen) {
+                    self.deeper()?;
                     if name == "ratio" {
                         let a = self.expr()?;
-                        self.expect(&Tok::Comma, ",")?;
+                        self.expect_tok(&Tok::Comma, ",")?;
                         let b = self.expr()?;
-                        self.expect(&Tok::RParen, ")")?;
-                        Ok(Expr::Ratio(Box::new(a), Box::new(b)))
+                        self.expect_tok(&Tok::RParen, ")")?;
+                        Expr::Ratio(Box::new(a), Box::new(b))
                     } else if let Some(f) = AggFn::parse(&name) {
                         let metric = self.ident("a metric name")?;
-                        self.expect(&Tok::RParen, ")")?;
-                        Ok(Expr::Agg(f, metric))
+                        self.expect_tok(&Tok::RParen, ")")?;
+                        Expr::Agg(f, metric)
                     } else {
-                        Err(format!(
+                        return Err(format!(
                             "unknown function `{name}` (expected ratio, min, max, mean, or sum)"
-                        ))
+                        ));
                     }
                 } else {
-                    Ok(Expr::Var(name))
+                    Expr::Var(name)
                 }
             }
-            other => Err(format!("expected an expression, got {other:?}")),
-        }
+            other => return Err(format!("expected an expression, got {other:?}")),
+        };
+        self.depth = depth;
+        Ok(e)
     }
 
     fn finish(&mut self) -> Result<(), String> {
@@ -1262,6 +1300,24 @@ assert agg max(ratio_quadratic) < 10
         assert_eq!(a.check_cell(&c, &metrics(&[])), Some(Ok(())));
         let a = Assertion::parse("assert ratio(1, 4) == 0.25").unwrap();
         assert_eq!(a.check_cell(&c, &metrics(&[])), Some(Ok(())));
+    }
+
+    #[test]
+    fn expression_nesting_past_the_cap_is_an_error() {
+        let parens = |n: usize| format!("assert {}work{} >= 1", "(".repeat(n), ")".repeat(n));
+        let chain = |n: usize| format!("assert work{} >= 1", " + 1".repeat(n));
+        assert!(Assertion::parse(&parens(MAX_EXPR_DEPTH)).is_ok());
+        assert!(Assertion::parse(&chain(MAX_EXPR_DEPTH)).is_ok());
+        for line in [parens(MAX_EXPR_DEPTH + 1), chain(MAX_EXPR_DEPTH + 1)] {
+            let e = Assertion::parse(&line).unwrap_err();
+            assert!(e.contains("nested deeper than 256 levels"), "{e}");
+        }
+        let text = format!(
+            "id = deep\ngrid = algos=none shapes=2x2\n{}\n",
+            parens(50_000)
+        );
+        let e = Scenario::parse(&text).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::compare::Comparison;
 use crate::experiments::derive_by_name;
+pub use crate::grid::cell_label;
 use crate::grid::Cell;
 use crate::resultset::{Record, ResultSet};
 use crate::scenario::Scenario;
@@ -167,23 +168,6 @@ impl fmt::Display for AssertionFailure {
             ),
         }
     }
-}
-
-/// The exact-cell label required of failure reports: everything needed
-/// to re-run the offending cell, including its derived seed.
-#[must_use]
-pub fn cell_label(cell: &Cell) -> String {
-    format!(
-        "algo={} adversary={} backend={} p={} t={} d={} seeds={} seed={:#018x}",
-        cell.algo,
-        cell.adversary,
-        cell.effective_backend(),
-        cell.p,
-        cell.t,
-        cell.d,
-        cell.seeds,
-        cell.cell_seed
-    )
 }
 
 /// One scenario's execution: its records plus assertion results.

@@ -4,22 +4,22 @@
 //!
 //! The unit of scheduled work is a *(cell, replicate-chunk)* shard, not a
 //! whole cell: a shared atomic cursor walks a flattened shard list, each
-//! worker runs its chunk of a cell's seeds via [`Simulation::run_batch`]
-//! (or the traced equivalent), and the per-shard [`RunReport`]s are merged
-//! back **in replicate order** before [`summarize`] / profile averaging.
+//! worker runs its chunk of a cell's seeds one replicate at a time (a fresh
+//! [`Simulation`], or a [`Runtime`] on the `threads` backend), and the
+//! per-shard [`RunReport`]s are merged back **in replicate order** before
+//! [`summarize`] / profile averaging.
 //! Because every replicate's seed derives from the cell's own parameters
 //! and the replicate's absolute index (see [`crate::grid::Cell::run_seed`]),
 //! neither the claim order, the worker count, nor the shard boundaries can
 //! influence a single number in the results — a single huge cell (e.g.
 //! `p = 4096, seeds = 32`) now spreads across every worker instead of
 //! pinning one thread.
-//!
-//! [`RunReport`]: doall_core::RunReport
 
 use crate::grid::{
-    build_adversary, build_algorithm, AdversarySpec, Backend, Cell, GridError, ALGO_NONE,
+    build_adversary, build_algorithm, cell_label, crash_plan, straggler_flags, AdversarySpec,
+    Backend, Cell, GridError, ALGO_NONE,
 };
-use doall_core::Instance;
+use doall_core::{Instance, RunReport};
 use doall_runtime::{Runtime, RuntimeConfig};
 use doall_sim::analysis::{execution_profile, summarize, BatchSummary, ProfilePartial};
 use doall_sim::{Simulation, Trace, TraceMode, DEFAULT_MAX_TICKS};
@@ -160,56 +160,46 @@ impl From<GridError> for SweepError {
     }
 }
 
-/// The measured side of one cell: batch aggregates plus (optionally)
-/// trace-derived execution-profile means. `summary` is `None` for
-/// derive-only cells (`algo == "none"`).
+/// The measured side of one cell: batch aggregates plus the measured
+/// extras. `summary` is `None` for derive-only cells (`algo == "none"`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellMeasurement {
     /// The cell that was run.
     pub cell: Cell,
     /// Work/message aggregates over the cell's replicates.
     pub summary: Option<BatchSummary>,
-    /// Mean primary executions per run (trace mode only).
-    pub mean_primary: Option<f64>,
-    /// Mean secondary (redundant) executions per run (trace mode only).
-    pub mean_secondary: Option<f64>,
-    /// Scheduled crash count (`crash:<pct>` adversaries only) — the
-    /// *actual* count after rounding and the `p − 1` survivor cap, so
-    /// baselines capture how many crashes a cell really exercised.
-    pub crash_count: Option<f64>,
-    /// Mean number of scheduled crashes that fired before σ, per
-    /// replicate (`crash:<pct>` adversaries only).
-    pub mean_crashes_fired: Option<f64>,
-    /// Number of persistently slow processors (`straggler:<pct>:<slowdown>`
-    /// adversaries only) — the actual count after rounding and the
-    /// `p − 1` full-speed cap, mirroring `crash_count`.
-    pub straggler_count: Option<f64>,
-    /// Mean wall-clock per replicate, in milliseconds. Backend-tagged
-    /// cells only: measured on `threads`, always `0` under `sim` (the
-    /// simulator's time is ticks, not wall-clock). `None` on legacy
-    /// (axis-omitted) cells, so their schema is untouched.
-    pub wall_clock_ms: Option<f64>,
-    /// Mean messages drained-and-dropped from crashed processors' inboxes
-    /// per replicate ([`doall_runtime::RuntimeStats::crashed_drained`]).
-    /// Backend-tagged cells only; always `0` under `sim`.
-    pub crashed_drained: Option<f64>,
-    /// Largest single crashed-inbox drain batch observed across the
-    /// cell's replicates
-    /// ([`doall_runtime::RuntimeStats::max_crashed_backlog`]).
-    /// Backend-tagged cells only; always `0` under `sim`.
-    pub max_crashed_backlog: Option<f64>,
+    /// Measured metrics beyond the summary, by name. Each is present only
+    /// where it applies:
+    ///
+    /// - `mean_primary` / `mean_secondary`: mean primary and secondary
+    ///   (redundant) executions per run, in trace mode;
+    /// - `crash_count` / `mean_crashes_fired`: for `crash:<pct>`
+    ///   adversaries, the scheduled count (after rounding and the `p − 1`
+    ///   survivor cap) and the mean number of those crashes that fired
+    ///   per replicate;
+    /// - `straggler_count`: for `straggler:<pct>:<slowdown>` adversaries,
+    ///   the number of slow processors (capped at `p − 1`);
+    /// - `wall_clock_ms` / `crashed_drained` / `max_crashed_backlog`: on
+    ///   backend-tagged cells, the mean wall-clock per replicate, the mean
+    ///   messages dropped from crashed inboxes
+    ///   ([`doall_runtime::RuntimeStats::crashed_drained`]) and the largest
+    ///   single drain batch
+    ///   ([`doall_runtime::RuntimeStats::max_crashed_backlog`]). Measured
+    ///   on `threads`, always `0` under `sim`, absent on legacy
+    ///   (axis-omitted) cells so their schema is untouched.
+    pub extras: BTreeMap<String, f64>,
 }
 
 impl CellMeasurement {
     /// Renders the measured aggregates as the canonical metric map — the
     /// single definition of the measured half of the output schema
-    /// (`mean/median/max work` & `messages`, `completed`, and the traced
-    /// execution-profile means where present). Every producer of
+    /// (`mean/median/max work` & `messages`, `completed`, and the
+    /// [`extras`](Self::extras)). Every producer of
     /// [`crate::resultset::Record`]s starts from this map so CLI sweeps,
     /// experiment runs, and tests cannot drift apart.
     #[must_use]
-    pub fn metrics(&self) -> std::collections::BTreeMap<String, f64> {
-        let mut metrics = std::collections::BTreeMap::new();
+    pub fn metrics(&self) -> BTreeMap<String, f64> {
+        let mut metrics = self.extras.clone();
         if let Some(s) = &self.summary {
             metrics.insert("mean_work".to_string(), s.mean_work);
             metrics.insert("median_work".to_string(), s.median_work);
@@ -218,30 +208,6 @@ impl CellMeasurement {
             metrics.insert("median_messages".to_string(), s.median_messages);
             metrics.insert("max_messages".to_string(), s.max_messages as f64);
             metrics.insert("completed".to_string(), s.completed as f64);
-        }
-        if let Some(primary) = self.mean_primary {
-            metrics.insert("mean_primary".to_string(), primary);
-        }
-        if let Some(secondary) = self.mean_secondary {
-            metrics.insert("mean_secondary".to_string(), secondary);
-        }
-        if let Some(count) = self.crash_count {
-            metrics.insert("crash_count".to_string(), count);
-        }
-        if let Some(fired) = self.mean_crashes_fired {
-            metrics.insert("mean_crashes_fired".to_string(), fired);
-        }
-        if let Some(count) = self.straggler_count {
-            metrics.insert("straggler_count".to_string(), count);
-        }
-        if let Some(ms) = self.wall_clock_ms {
-            metrics.insert("wall_clock_ms".to_string(), ms);
-        }
-        if let Some(drained) = self.crashed_drained {
-            metrics.insert("crashed_drained".to_string(), drained);
-        }
-        if let Some(backlog) = self.max_crashed_backlog {
-            metrics.insert("max_crashed_backlog".to_string(), backlog);
         }
         metrics
     }
@@ -271,18 +237,24 @@ struct Shard {
     len: u64,
 }
 
-/// What a shard produced: its chunk's reports (in replicate order), in
-/// trace mode the mergeable profile partial, and on the `threads`
-/// backend the per-replicate measured-side probes.
+/// What one replicate produced: its report, how many of the cell's
+/// scheduled crashes fired, and on the `threads` backend its probe.
+struct Replicate {
+    report: RunReport,
+    crashes_fired: usize,
+    probe: Option<ThreadsProbe>,
+}
+
+/// What a shard produced: its chunk's replicates (in replicate order)
+/// and, in trace mode, the mergeable profile partial.
 struct ShardOutput {
-    reports: Vec<doall_core::RunReport>,
+    replicates: Vec<Replicate>,
     profile: Option<ProfilePartial>,
-    probes: Vec<ThreadsProbe>,
 }
 
 /// The measured-side numbers one `threads` replicate carries back out of
-/// its shard — everything the simulator cannot produce (wall-clock,
-/// engine accounting) plus the observed crash firings.
+/// its shard — what the simulator cannot produce (wall-clock, engine
+/// accounting).
 #[derive(Debug, Clone, Copy)]
 struct ThreadsProbe {
     /// Elapsed wall-clock of the completed run, milliseconds.
@@ -291,18 +263,6 @@ struct ThreadsProbe {
     crashed_drained: u64,
     /// Largest single crashed-inbox drain batch.
     max_crashed_backlog: u64,
-    /// Scheduled crashes whose step budget actually fired (a run can
-    /// complete before a late budget is reached).
-    crashes_fired: u64,
-}
-
-/// The `algo vs adversary p= t= d=` rendering error messages use for a
-/// cell.
-fn cell_label(cell: &Cell) -> String {
-    format!(
-        "{} vs {} p={} t={} d={}",
-        cell.algo, cell.adversary, cell.p, cell.t, cell.d
-    )
 }
 
 /// The shard size the engine actually uses for a sweep of `cell_count`
@@ -490,117 +450,46 @@ pub fn run_cells_with_stats(
     Ok((measurements, stats))
 }
 
+/// The cell's crash plan: per processor, the tick at which it crashes
+/// (on `threads`, its step budget). Empty for non-crash adversaries.
+fn cell_crash_plan(cell: &Cell, cfg: &SweepConfig) -> Vec<Option<u64>> {
+    match cell.adversary {
+        AdversarySpec::Crash { pct, stagger } => {
+            crash_plan(pct, stagger, cell.p, cell.t, cfg.max_ticks)
+        }
+        _ => Vec::new(),
+    }
+}
+
 /// Runs one shard — replicates `start .. start + len` of `cell`,
 /// sequentially, reusing `trace_buf` across replicates in trace mode.
+///
+/// Each replicate builds its algorithm from its own derived seed and runs
+/// it on a fresh [`Simulation`] or, on the `threads` backend, on real OS
+/// threads via [`Runtime`] — the *same* state machines with the same
+/// seed, so the algorithm's randomness is identical across backends. On
+/// `threads` the cell's adversary maps onto the runtime's wall-clock
+/// knobs:
+///
+/// - `d` → random message delays capped at `d ×`
+///   [`THREADS_DELAY_QUANTUM`] (every delay-only adversary measures as
+///   this uniform-delay analogue);
+/// - `crash:<pct>[@stagger]` → the simulator's own deterministic
+///   [`crash_plan`] ticks, reused as per-processor step budgets;
+/// - `straggler:<pct>:<slowdown>` → a `slowdown ×` longer step pace for
+///   the flagged processors.
 fn run_shard(
     cell: &Cell,
     shard: &Shard,
     cfg: &SweepConfig,
     trace_buf: &mut Option<Trace>,
 ) -> Result<ShardOutput, SweepError> {
-    if cell.effective_backend() == Backend::Threads {
-        return run_threads_shard(cell, shard, cfg);
-    }
     let instance =
         Instance::new(cell.p, cell.t).map_err(|e| SweepError::Instance(e.to_string()))?;
-    let mut reports = Vec::with_capacity(shard.len as usize);
-    let mut profile = cfg.trace.then(ProfilePartial::default);
-    if let Some(partial) = profile.as_mut() {
-        for k in shard.start..shard.start + shard.len {
-            let seed = cell.run_seed(k);
-            let algo = build_algorithm(&cell.algo, instance, seed).expect("validated above");
-            let adversary =
-                build_adversary(&cell.adversary, cell.p, cell.t, cell.d, seed, cfg.max_ticks);
-            // Reuse the worker's buffer only when its capacity covers
-            // this cell — a buffer first sized for a smaller shape would
-            // truncate here, and `execution_profile` (rightly) rejects
-            // truncated traces. An undersized buffer is dropped and a
-            // correctly sized one allocated in its place.
-            let needed = trace_capacity(cell.p, cfg.max_ticks);
-            let mode = match trace_buf.take().filter(|buf| buf.capacity() >= needed) {
-                Some(buf) => TraceMode::Recycled(buf),
-                None => TraceMode::Buffered(needed),
-            };
-            let (report, trace) = Simulation::builder(instance)
-                .procs(algo.spawn(instance))
-                .adversary(adversary)
-                .max_ticks(cfg.max_ticks)
-                .trace(mode)
-                .build()
-                .run_traced();
-            let trace = trace.expect("tracing enabled");
-            partial.record(&execution_profile(&trace, cell.t));
-            *trace_buf = Some(trace);
-            reports.push(report);
-        }
-    } else {
-        reports = Simulation::run_batch(
-            instance,
-            shard.len,
-            cfg.max_ticks,
-            |k, procs| {
-                procs.extend(
-                    build_algorithm(&cell.algo, instance, cell.run_seed(shard.start + k))
-                        .expect("validated above")
-                        .spawn(instance),
-                );
-            },
-            |k| {
-                build_adversary(
-                    &cell.adversary,
-                    cell.p,
-                    cell.t,
-                    cell.d,
-                    cell.run_seed(shard.start + k),
-                    cfg.max_ticks,
-                )
-            },
-        );
-    }
-    if let Some(pos) = reports.iter().position(|r| !r.completed) {
-        let replicate = shard.start + pos as u64;
-        return Err(SweepError::Incomplete {
-            cell: cell_label(cell),
-            replicate,
-            seed: cell.run_seed(replicate),
-        });
-    }
-    Ok(ShardOutput {
-        reports,
-        profile,
-        probes: Vec::new(),
-    })
-}
-
-/// Runs one shard of a `threads`-backend cell: each replicate executes
-/// the *same* algorithm state machines the simulator drives (same
-/// derived seed, so the algorithm's randomness is identical across
-/// backends) on real OS threads via [`doall_runtime::Runtime`]. The
-/// cell's adversary maps onto the runtime's wall-clock knobs:
-///
-/// - `d` → random message delays capped at `d ×`
-///   [`THREADS_DELAY_QUANTUM`] (every delay-only adversary measures as
-///   this uniform-delay analogue);
-/// - `crash:<pct>[@stagger]` → the simulator's own deterministic
-///   [`crate::grid::crash_plan`] ticks, reused as per-processor step
-///   budgets;
-/// - `straggler:<pct>:<slowdown>` → a `slowdown ×` longer step pace for
-///   the flagged processors.
-fn run_threads_shard(
-    cell: &Cell,
-    shard: &Shard,
-    cfg: &SweepConfig,
-) -> Result<ShardOutput, SweepError> {
-    let instance =
-        Instance::new(cell.p, cell.t).map_err(|e| SweepError::Instance(e.to_string()))?;
-    let crash_after_steps: Vec<Option<u64>> = match cell.adversary {
-        AdversarySpec::Crash { pct, stagger } => {
-            crate::grid::crash_plan(pct, stagger, cell.p, cell.t, cfg.max_ticks)
-        }
-        _ => Vec::new(),
-    };
+    let threads = cell.effective_backend() == Backend::Threads;
+    let plan = cell_crash_plan(cell, cfg);
     let pace_overrides: Vec<Option<Duration>> = match cell.adversary {
-        AdversarySpec::Straggler { pct, slowdown } => crate::grid::straggler_flags(pct, cell.p)
+        AdversarySpec::Straggler { pct, slowdown } if threads => straggler_flags(pct, cell.p)
             .iter()
             .map(|&slow| {
                 slow.then(|| {
@@ -609,207 +498,187 @@ fn run_threads_shard(
                 })
             })
             .collect(),
-        _ => vec![None; cell.p],
+        _ => Vec::new(),
     };
-    let mut reports = Vec::with_capacity(shard.len as usize);
-    let mut probes = Vec::with_capacity(shard.len as usize);
+    let mut replicates = Vec::with_capacity(shard.len as usize);
+    let mut profile = cfg.trace.then(ProfilePartial::default);
     for k in shard.start..shard.start + shard.len {
         let seed = cell.run_seed(k);
         let algo = build_algorithm(&cell.algo, instance, seed).expect("validated above");
-        let config = RuntimeConfig {
-            max_delay: THREADS_DELAY_QUANTUM
-                .saturating_mul(u32::try_from(cell.d).unwrap_or(u32::MAX)),
-            seed,
-            timeout: THREADS_TIMEOUT,
-            crash_after_steps: crash_after_steps.clone(),
-            step_interval: THREADS_STEP_INTERVAL,
+        let (report, stats) = if threads {
+            let config = RuntimeConfig {
+                max_delay: THREADS_DELAY_QUANTUM
+                    .saturating_mul(u32::try_from(cell.d).unwrap_or(u32::MAX)),
+                seed,
+                timeout: THREADS_TIMEOUT,
+                crash_after_steps: plan.clone(),
+                step_interval: THREADS_STEP_INTERVAL,
+            };
+            let outcome = Runtime::builder(config)
+                .pace_overrides(pace_overrides.clone())
+                .run(instance, algo.spawn(instance))
+                .expect("cell-derived runtime setup is valid");
+            (outcome.report, Some(outcome.stats))
+        } else {
+            // Reuse the worker's buffer only when its capacity covers
+            // this cell — a buffer first sized for a smaller shape would
+            // truncate here, and `execution_profile` (rightly) rejects
+            // truncated traces. An undersized buffer is dropped and a
+            // correctly sized one allocated in its place.
+            let needed = trace_capacity(cell.p, cfg.max_ticks);
+            let mode = match trace_buf.take().filter(|buf| buf.capacity() >= needed) {
+                _ if !cfg.trace => TraceMode::Off,
+                Some(buf) => TraceMode::Recycled(buf),
+                None => TraceMode::Buffered(needed),
+            };
+            let adversary =
+                build_adversary(&cell.adversary, cell.p, cell.t, cell.d, seed, cfg.max_ticks);
+            let (report, trace) = Simulation::builder(instance)
+                .procs(algo.spawn(instance))
+                .adversary(adversary)
+                .max_ticks(cfg.max_ticks)
+                .trace(mode)
+                .build()
+                .run_traced();
+            if let (Some(partial), Some(trace)) = (profile.as_mut(), trace) {
+                partial.record(&execution_profile(&trace, cell.t));
+                *trace_buf = Some(trace);
+            }
+            (report, None)
         };
-        let outcome = Runtime::builder(config)
-            .pace_overrides(pace_overrides.clone())
-            .run(instance, algo.spawn(instance))
-            .expect("cell-derived runtime setup is valid");
-        if !outcome.report.completed {
+        let Some(sigma) = report.sigma.filter(|_| report.completed) else {
             return Err(SweepError::Incomplete {
                 cell: cell_label(cell),
                 replicate: k,
                 seed,
             });
-        }
-        let sigma_us = outcome.report.sigma.expect("completed runs carry sigma");
-        let crashes_fired = crash_after_steps
+        };
+        // A simulated crash fires if its tick is ≤ σ. A crashed worker
+        // thread stops exactly at its step budget, so on `threads` firing
+        // is observed in the per-processor work instead (a run can
+        // complete before a late budget is reached).
+        let crashes_fired = plan
             .iter()
             .enumerate()
-            .filter(|&(pid, budget)| {
-                budget.is_some_and(|b| outcome.report.work_per_processor[pid] >= b)
+            .filter(|&(pid, at)| {
+                at.is_some_and(|at| match stats {
+                    Some(_) => report.work_per_processor[pid] >= at,
+                    None => at <= sigma,
+                })
             })
-            .count() as u64;
-        probes.push(ThreadsProbe {
-            wall_clock_ms: sigma_us as f64 / 1_000.0,
-            crashed_drained: outcome.stats.crashed_drained,
-            max_crashed_backlog: outcome.stats.max_crashed_backlog,
-            crashes_fired,
+            .count();
+        let probe = stats.map(|stats| ThreadsProbe {
+            wall_clock_ms: sigma as f64 / 1_000.0,
+            crashed_drained: stats.crashed_drained,
+            max_crashed_backlog: stats.max_crashed_backlog,
         });
-        reports.push(outcome.report);
+        replicates.push(Replicate {
+            report,
+            crashes_fired,
+            probe,
+        });
     }
     Ok(ShardOutput {
-        reports,
-        profile: None,
-        probes,
+        replicates,
+        profile,
     })
 }
 
 /// Merges a cell's shard outputs back, in replicate order, into the
 /// measurement a sequential run would have produced.
 fn merge_cell(cell: &Cell, cfg: &SweepConfig, shards: Vec<Option<ShardOutput>>) -> CellMeasurement {
+    let mut extras = BTreeMap::new();
     if cell.algo == ALGO_NONE {
         return CellMeasurement {
             cell: cell.clone(),
             summary: None,
-            mean_primary: None,
-            mean_secondary: None,
-            crash_count: None,
-            mean_crashes_fired: None,
-            straggler_count: None,
-            wall_clock_ms: None,
-            crashed_drained: None,
-            max_crashed_backlog: None,
+            extras,
         };
     }
     let mut reports = Vec::with_capacity(cell.seeds as usize);
+    let mut fired = Vec::with_capacity(cell.seeds as usize);
     let mut probes = Vec::new();
     let mut profile = cfg.trace.then(ProfilePartial::default);
     // Slots are indexed by shard position within the cell, so pushing in
     // slot order concatenates the chunks back into replicate order.
     for output in shards {
         let output = output.expect("error-free sweeps fill every slot");
-        reports.extend(output.reports);
-        probes.extend(output.probes);
+        for replicate in output.replicates {
+            reports.push(replicate.report);
+            fired.push(replicate.crashes_fired);
+            probes.extend(replicate.probe);
+        }
         if let (Some(whole), Some(part)) = (profile.as_mut(), output.profile.as_ref()) {
             whole.merge(part);
         }
     }
     assert_eq!(reports.len(), cell.seeds as usize, "all replicates merged");
-    let (crash_count, mean_crashes_fired) = if cell.effective_backend() == Backend::Threads {
-        threads_crash_stats(cell, cfg, &probes)
-    } else {
-        crash_stats(cell, cfg, &reports)
-    };
-    let straggler_count = match cell.adversary {
-        AdversarySpec::Straggler { pct, .. } => Some(
-            crate::grid::straggler_flags(pct, cell.p)
-                .iter()
-                .filter(|&&slow| slow)
-                .count() as f64,
-        ),
-        _ => None,
-    };
+    let mut put = |name: &str, value: f64| extras.insert(name.to_string(), value);
+    if let Some(profile) = &profile {
+        put("mean_primary", profile.mean_primary());
+        put("mean_secondary", profile.mean_secondary());
+    }
+    if let Some((scheduled, mean_fired)) = crash_stats(cell, cfg, &fired) {
+        put("crash_count", scheduled);
+        put("mean_crashes_fired", mean_fired);
+    }
+    if let AdversarySpec::Straggler { pct, .. } = cell.adversary {
+        let slow = straggler_flags(pct, cell.p).iter().filter(|&&s| s).count();
+        put("straggler_count", slow as f64);
+    }
     // The measured-only trio exists exactly on backend-tagged cells —
-    // zeros under `sim` keep the schema identical across a tagged grid's
-    // backends, while legacy (axis-omitted) cells stay byte-identical to
-    // their pre-backend output.
-    let (wall_clock_ms, crashed_drained, max_crashed_backlog) = match cell.backend {
-        None => (None, None, None),
-        Some(Backend::Sim) => (Some(0.0), Some(0.0), Some(0.0)),
-        Some(Backend::Threads) => {
-            let n = probes.len().max(1) as f64;
-            (
-                Some(probes.iter().map(|pr| pr.wall_clock_ms).sum::<f64>() / n),
-                Some(
-                    probes
-                        .iter()
-                        .map(|pr| pr.crashed_drained as f64)
-                        .sum::<f64>()
-                        / n,
-                ),
-                Some(
-                    probes
-                        .iter()
-                        .map(|pr| pr.max_crashed_backlog)
-                        .max()
-                        .unwrap_or(0) as f64,
-                ),
-            )
-        }
-    };
+    // `sim` cells carry no probes and read zeros, keeping the schema
+    // identical across a tagged grid's backends, while legacy
+    // (axis-omitted) cells stay byte-identical to their pre-backend
+    // output.
+    if cell.backend.is_some() {
+        let n = probes.len().max(1) as f64;
+        let mean = |f: fn(&ThreadsProbe) -> f64| probes.iter().map(f).fold(0.0, |a, x| a + x) / n;
+        put("wall_clock_ms", mean(|pr| pr.wall_clock_ms));
+        put("crashed_drained", mean(|pr| pr.crashed_drained as f64));
+        let backlog = probes.iter().map(|pr| pr.max_crashed_backlog).max();
+        put("max_crashed_backlog", backlog.unwrap_or(0) as f64);
+    }
     CellMeasurement {
         cell: cell.clone(),
         summary: Some(summarize(&reports)),
-        mean_primary: profile.as_ref().map(ProfilePartial::mean_primary),
-        mean_secondary: profile.as_ref().map(ProfilePartial::mean_secondary),
-        crash_count,
-        mean_crashes_fired,
-        straggler_count,
-        wall_clock_ms,
-        crashed_drained,
-        max_crashed_backlog,
+        extras,
     }
 }
 
-/// For `crash:<pct>` cells: the scheduled crash count and the mean
-/// number of crashes that fired (crash tick ≤ σ) across the replicates;
-/// `(None, None)` for every other adversary.
+/// For `crash:<pct>` cells: the scheduled crash count and the mean of
+/// the replicates' `fired` counts; `None` for every other adversary.
 ///
 /// The crash plan is deterministic in the cell's parameters and tick
-/// budget (see [`crate::grid::crash_plan`]), so it can be recomputed
-/// here from the completed reports instead of being threaded out of the
-/// adversary.
+/// budget (see [`crash_plan`]), so the scheduled count is recomputed
+/// here rather than threaded out of the adversary.
 ///
 /// # Panics
 ///
-/// Panics if crashes were scheduled but none fired in some replicate
-/// (for `t ≥ 2`, where at least the first crash provably lands before
-/// σ) — a "crash" cell that exercises no crashes would quietly measure
-/// the wrong scenario, which is exactly the bug this guards against.
-fn crash_stats(
-    cell: &Cell,
-    cfg: &SweepConfig,
-    reports: &[doall_core::RunReport],
-) -> (Option<f64>, Option<f64>) {
-    let AdversarySpec::Crash { pct, stagger } = cell.adversary else {
-        return (None, None);
+/// On the simulator, panics if crashes were scheduled but none fired in
+/// some replicate (for `t ≥ 2`, where at least the first crash provably
+/// lands before σ) — a "crash" cell that exercises no crashes would
+/// quietly measure the wrong scenario, which is exactly the bug this
+/// guards against. Not on `threads`: there a fast run can legitimately
+/// complete before a late step budget is reached.
+fn crash_stats(cell: &Cell, cfg: &SweepConfig, fired: &[usize]) -> Option<(f64, f64)> {
+    let AdversarySpec::Crash { .. } = cell.adversary else {
+        return None;
     };
-    let plan = crate::grid::crash_plan(pct, stagger, cell.p, cell.t, cfg.max_ticks);
-    let scheduled = plan.iter().flatten().count();
-    let mut fired_total = 0usize;
-    for report in reports {
-        let sigma = report.sigma.expect("incomplete runs error out above");
-        let fired = plan.iter().flatten().filter(|&&at| at <= sigma).count();
+    let scheduled = cell_crash_plan(cell, cfg).iter().flatten().count();
+    let sim = cell.effective_backend() == Backend::Sim;
+    if let Some(replicate) = fired.iter().position(|&n| n == 0) {
         assert!(
-            scheduled == 0 || cell.t < 2 || fired >= 1,
-            "crash cell exercised no crashes: {} p={} t={} scheduled={scheduled} σ={sigma}",
+            !sim || scheduled == 0 || cell.t < 2,
+            "crash cell exercised no crashes: {} p={} t={} scheduled={scheduled} \
+             replicate={replicate}",
             cell.adversary,
             cell.p,
             cell.t,
         );
-        fired_total += fired;
     }
-    (
-        Some(scheduled as f64),
-        Some(fired_total as f64 / reports.len() as f64),
-    )
-}
-
-/// [`crash_stats`] for `threads`-backend cells: the scheduled count is
-/// the same deterministic [`crate::grid::crash_plan`], but *fired* is
-/// what each replicate actually observed (a crashed worker stops exactly
-/// at its step budget, so firing is measured, not recomputed). No
-/// all-replicates-fired assertion here — on real threads a fast run can
-/// legitimately complete before a late budget is reached.
-fn threads_crash_stats(
-    cell: &Cell,
-    cfg: &SweepConfig,
-    probes: &[ThreadsProbe],
-) -> (Option<f64>, Option<f64>) {
-    let AdversarySpec::Crash { pct, stagger } = cell.adversary else {
-        return (None, None);
-    };
-    let plan = crate::grid::crash_plan(pct, stagger, cell.p, cell.t, cfg.max_ticks);
-    let scheduled = plan.iter().flatten().count();
-    let fired_total: u64 = probes.iter().map(|pr| pr.crashes_fired).sum();
-    (
-        Some(scheduled as f64),
-        Some(fired_total as f64 / probes.len().max(1) as f64),
-    )
+    let total: usize = fired.iter().sum();
+    Some((scheduled as f64, total as f64 / fired.len().max(1) as f64))
 }
 
 #[cfg(test)]
@@ -967,8 +836,8 @@ mod tests {
         .unwrap();
         // SoloAll: each processor sweeps all 4 tasks from its own offset,
         // so every task has exactly one primary execution.
-        assert_eq!(out[0].mean_primary, Some(4.0));
-        let secondary = out[0].mean_secondary.expect("trace mode");
+        assert_eq!(out[0].extras.get("mean_primary"), Some(&4.0));
+        let secondary = out[0].extras["mean_secondary"];
         assert!(secondary >= 0.0);
     }
 
@@ -984,7 +853,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let baseline = run_cells(&cells, &cfg(1, Some(4))).unwrap();
-        assert!(baseline[0].mean_primary.is_some());
+        assert!(baseline[0].extras.contains_key("mean_primary"));
         for threads in [1, 4] {
             for shard_size in [None, Some(1), Some(3)] {
                 let out = run_cells(&cells, &cfg(threads, shard_size)).unwrap();
@@ -1013,11 +882,11 @@ mod tests {
             ..SweepConfig::default()
         };
         let out = run_cells(&cells, &cfg).unwrap();
-        assert!(out.iter().all(|m| m.mean_primary.is_some()));
+        assert!(out.iter().all(|m| m.extras.contains_key("mean_primary")));
         // Every task needs at least one primary execution (concurrent
         // firsts can push the count above t); completing at all is the
         // regression check — an undersized reused buffer panicked here.
-        let primary = out[1].mean_primary.expect("trace mode");
+        let primary = out[1].extras["mean_primary"];
         assert!(primary >= 256.0, "t=256 tasks all executed: {primary}");
     }
 

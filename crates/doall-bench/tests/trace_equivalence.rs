@@ -5,11 +5,11 @@
 //!    `TraceMode::Buffered` produce identical [`RunReport`]s, for random
 //!    algorithm × adversary × shape draws across both delivery engines
 //!    (bus and per-recipient).
-//! 2. **Arena recycling is invisible.** `Simulation::run_batch` (one
-//!    recycled proc vector + mailbox/bus arena across replicates) is
-//!    byte-identical to constructing a fresh `Simulation` per replicate —
-//!    and the sweep engine built on it is byte-identical across
-//!    `--threads {1, 8}` × `--shard-size {1, auto}`.
+//! 2. **The sweep engine's schedule is invisible.** A sweep is
+//!    byte-identical across `--threads {1, 8}` × `--shard-size {1, auto}`,
+//!    and a traced sweep (one recycled trace buffer per worker) measures
+//!    exactly what the untraced one does, apart from the trace-only
+//!    execution-profile means.
 
 use doall_bench::grid::{build_adversary, build_algorithm, AdversarySpec, Grid};
 use doall_bench::sweep::{run_cells, SweepConfig};
@@ -88,55 +88,9 @@ proptest! {
         prop_assert_eq!(off, buffered, "tracing perturbed {}/{}", algo, adv);
     }
 
-    /// Claim 2a: the recycled-arena `run_batch` equals per-replicate
-    /// construction, report for report.
-    #[test]
-    fn run_batch_equals_fresh_simulations(
-        algo_idx in 0..ALGOS.len(),
-        adv_idx in 0..ADVS.len(),
-        p in 2usize..=10,
-        d in 1u64..=4,
-        runs in 1u64..=5,
-        seed_base in 0u64..1_000,
-    ) {
-        let algo = ALGOS[algo_idx];
-        let adv = ADVS[adv_idx];
-        let t = p * 4;
-        let instance = Instance::new(p, t).expect("valid shape");
-        let spec = AdversarySpec::parse(adv).expect("valid adversary key");
-
-        let batched = Simulation::run_batch(
-            instance,
-            runs,
-            MAX_TICKS,
-            |k, procs| {
-                procs.extend(
-                    build_algorithm(algo, instance, seed_base + k)
-                        .expect("valid algo key")
-                        .spawn(instance),
-                );
-            },
-            |k| build_adversary(&spec, p, t, d, seed_base + k, MAX_TICKS),
-        );
-        let fresh: Vec<RunReport> = (0..runs)
-            .map(|k| {
-                Simulation::builder(instance)
-                    .procs(
-                        build_algorithm(algo, instance, seed_base + k)
-                            .expect("valid algo key")
-                            .spawn(instance),
-                    )
-                    .adversary(build_adversary(&spec, p, t, d, seed_base + k, MAX_TICKS))
-                    .max_ticks(MAX_TICKS)
-                    .build()
-                    .run()
-            })
-            .collect();
-        prop_assert_eq!(batched, fresh, "arena leaked state in {}/{}", algo, adv);
-    }
-
-    /// Claim 2b: the sweep engine on top of `run_batch` is byte-identical
-    /// across `--threads {1, 8}` × `--shard-size {1, auto}`.
+    /// Claim 2b: the sweep engine is byte-identical across
+    /// `--threads {1, 8}` × `--shard-size {1, auto}`, and with `trace` on
+    /// it measures the same metrics plus the execution-profile means.
     #[test]
     fn sweep_identical_across_threads_and_shards(
         algo_idx in 0..ALGOS.len(),
@@ -165,6 +119,20 @@ proptest! {
         }
         for other in &results[1..] {
             prop_assert_eq!(&results[0], other, "thread/shard config changed results");
+        }
+        let traced_cfg = SweepConfig {
+            threads: 2,
+            shard_size: Some(1),
+            max_ticks: MAX_TICKS,
+            trace: true,
+        };
+        let traced = run_cells(&cells, &traced_cfg).expect("traced sweep runs");
+        prop_assert_eq!(traced.len(), results[0].len());
+        for (traced, untraced) in traced.iter().zip(&results[0]) {
+            let mut metrics = traced.metrics();
+            prop_assert!(metrics.remove("mean_primary").is_some());
+            prop_assert!(metrics.remove("mean_secondary").is_some());
+            prop_assert_eq!(metrics, untraced.metrics(), "tracing changed {}/{}", algo, adv);
         }
     }
 }

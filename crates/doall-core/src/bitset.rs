@@ -128,9 +128,8 @@ impl BitSet {
         gained > 0
     }
 
-    /// Removes every bit, keeping the capacity and the allocation — the
-    /// arena-reset primitive used when a simulation recycles its
-    /// ground-truth set across replicates.
+    /// Removes every bit, keeping the capacity and the allocation, so one
+    /// set can be reused without reallocating.
     pub fn clear(&mut self) {
         self.words.fill(0);
         self.ones = 0;

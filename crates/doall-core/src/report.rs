@@ -39,14 +39,6 @@ impl WorkTally {
     pub fn per_processor(&self) -> &[u64] {
         &self.per_proc
     }
-
-    /// Zeroes the tally for `processors` processors, reusing the
-    /// allocation when the count allows — the arena-reset primitive for
-    /// batched simulation runs.
-    pub fn reset(&mut self, processors: usize) {
-        self.per_proc.clear();
-        self.per_proc.resize(processors, 0);
-    }
 }
 
 /// Message tally per Definition 2.2: each point-to-point message is one

@@ -13,7 +13,7 @@
 //! | `D002` | wall-clock reads only in `doall-runtime`'s scheduler/transport/fault |
 //! | `D003` | no `std::env`/`thread::current` in deterministic crates |
 //! | `D004` | no float accumulation (`+=`, `.sum()`) over unordered iteration in deterministic crates |
-//! | `H001` | no `unwrap()`/`expect()`/`panic!` in library-crate non-test code |
+//! | `H001` | no `unwrap()`/`expect()`/`panic!` in library-crate or input-parser non-test code |
 //! | `H002` | every workspace crate root carries `#![forbid(unsafe_code)]` |
 //!
 //! The engine is hand-rolled in the repo's no-crates.io spirit (same as

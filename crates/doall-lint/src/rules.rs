@@ -19,6 +19,9 @@
 //!   `doall-bounds`, `doall-runtime`). The harness (`doall-bench`), the
 //!   CLI facade, and this linter are drivers: an invariant panic there
 //!   surfaces as a process exit, which is the designed failure mode.
+//!   The exception is the harness's input parsers (`compare`, `history`,
+//!   `resultset`, `scenario`, `suite`, `trend`): they read files a user
+//!   writes, which must fail with an error, never a panic.
 //! * Rules apply to `src/` code only — integration tests, benches, and
 //!   examples are not shipped library code (and test regions inside
 //!   `src/` are masked away before rules run).
@@ -45,6 +48,17 @@ const LIB_CRATES: &[&str] = &[
     "doall-sim",
 ];
 
+/// Driver modules that read user files (scenarios, result sets, the
+/// history ledger), held to H001 like a library crate.
+const H001_PARSERS: &[&str] = &[
+    "crates/doall-bench/src/compare.rs",
+    "crates/doall-bench/src/history.rs",
+    "crates/doall-bench/src/resultset.rs",
+    "crates/doall-bench/src/scenario.rs",
+    "crates/doall-bench/src/suite.rs",
+    "crates/doall-bench/src/trend.rs",
+];
+
 /// The only files allowed to read wall clocks (D002): the measured-only
 /// metrics (`wall_clock_ms`, backlog gauges) of the threads backend are
 /// produced here and are exempt from value comparison by the comparator.
@@ -67,7 +81,8 @@ pub enum RuleId {
     /// No float accumulation over non-deterministically-ordered
     /// iteration in deterministic crates.
     D004,
-    /// No panicking shortcuts in library-crate non-test code.
+    /// No panicking shortcuts in library-crate or input-parser non-test
+    /// code.
     H001,
     /// Every workspace crate root forbids `unsafe_code`.
     H002,
@@ -124,7 +139,7 @@ impl RuleId {
             RuleId::D004 => {
                 "no float accumulation over unordered iteration in deterministic crates"
             }
-            RuleId::H001 => "no unwrap/expect/panic in library-crate non-test code",
+            RuleId::H001 => "no unwrap/expect/panic in library-crate or input-parser non-test code",
             RuleId::H002 => "crate roots must carry #![forbid(unsafe_code)]",
         }
     }
@@ -242,7 +257,13 @@ fn has_token(line: &str, needle: &str) -> bool {
 pub fn scan_file(path: &str, masked: &MaskedFile, only: &[RuleId], out: &mut Vec<Diagnostic>) {
     let enabled = |r: RuleId| only.is_empty() || only.contains(&r);
     let in_det = src_crate(path).is_some_and(|c| DET_CRATES.contains(&c));
-    let in_lib = src_crate(path).is_some_and(|c| LIB_CRATES.contains(&c));
+    let h001_scope = if H001_PARSERS.contains(&path) {
+        Some("input parser".to_string())
+    } else {
+        src_crate(path)
+            .filter(|c| LIB_CRATES.contains(c))
+            .map(|c| format!("library crate `{c}`"))
+    };
     let d002_applies = src_crate(path).is_some() && !D002_ALLOWED.contains(&path);
 
     // D004 loop-taint state: brace depth, a loop head seen but not yet
@@ -362,15 +383,14 @@ pub fn scan_file(path: &str, masked: &MaskedFile, only: &[RuleId], out: &mut Vec
                 }
             }
         }
-        if enabled(RuleId::H001) && in_lib {
+        if let Some(scope) = h001_scope.as_ref().filter(|_| enabled(RuleId::H001)) {
             if let Some((_, what)) = H001_TOKENS.iter().find(|(n, _)| has_token(line, n)) {
                 push(
                     RuleId::H001,
                     what,
                     format!(
-                        "in library crate `{}` non-test code — return an error or \
-                         justify the invariant with lint:allow(H001)",
-                        src_crate(path).unwrap_or_default()
+                        "in {scope} non-test code — return an error or justify the \
+                         invariant with lint:allow(H001)"
                     ),
                 );
             }
@@ -489,6 +509,13 @@ mod tests {
         assert!(
             run("crates/doall-bench/src/x.rs", boom).is_empty(),
             "harness is a driver, not a library crate"
+        );
+        let hits = run("crates/doall-bench/src/scenario.rs", boom);
+        assert_eq!(hits[0].rule, RuleId::H001, "…except its input parsers");
+        assert!(
+            hits[0].message.contains("input parser"),
+            "{}",
+            hits[0].message
         );
     }
 

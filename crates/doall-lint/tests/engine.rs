@@ -22,8 +22,8 @@ fn every_rule_fires_on_its_fixture_with_exact_anchors() {
     // The full expected set: one firing fixture per rule, the suppression
     // fixture's single uncovered line — and nothing else, which is the
     // clean-counterpart assertion (d001_clean.rs, scheduler.rs,
-    // d003_clean.rs, d004_clean.rs, h001_clean.rs, masked.rs, and the
-    // perms crate root all stay silent).
+    // d003_clean.rs, d004_clean.rs, h001_clean.rs, the bench driver's
+    // sweep.rs, masked.rs, and the perms crate root all stay silent).
     let want = [
         (
             "crates/doall-bench/src/d003_violation.rs".to_string(),
@@ -34,6 +34,11 @@ fn every_rule_fires_on_its_fixture_with_exact_anchors() {
             "crates/doall-bench/src/d004_violation.rs".to_string(),
             7,
             RuleId::D004,
+        ),
+        (
+            "crates/doall-bench/src/scenario.rs".to_string(),
+            4,
+            RuleId::H001,
         ),
         ("crates/doall-core/src/lib.rs".to_string(), 1, RuleId::H002),
         (
@@ -58,7 +63,7 @@ fn every_rule_fires_on_its_fixture_with_exact_anchors() {
         ),
     ];
     assert_eq!(got, want, "fixture diagnostics drifted");
-    assert_eq!(report.files_scanned, 14);
+    assert_eq!(report.files_scanned, 16);
     assert_eq!(
         report.suppressed, 3,
         "same-line + line-above + D004 drain markers"

@@ -17,8 +17,8 @@ use doall_core::RunReport;
 /// Aggregate of a batch of runs (one grid cell of a sweep): mean, median,
 /// and max of work and messages, plus completion accounting.
 ///
-/// Produced by [`summarize`] from the reports of
-/// [`crate::Simulation::run_batch`].
+/// Produced by [`summarize`] from the reports of one cell's replicates,
+/// each a separate [`crate::Simulation`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchSummary {
     /// Number of runs aggregated.

@@ -43,19 +43,6 @@ impl Mailboxes {
         }
     }
 
-    /// Empties every mailbox for `processors` processors, recycling the
-    /// existing allocations — the arena-reset primitive for batched runs.
-    pub fn reset(&mut self, processors: usize) {
-        for mbox in &mut self.boxes {
-            for (_, mut v) in std::mem::take(mbox) {
-                v.clear();
-                self.spare.push(v);
-            }
-        }
-        self.boxes.resize_with(processors, BTreeMap::new);
-        self.boxes.truncate(processors);
-    }
-
     /// Number of processors.
     #[must_use]
     pub fn processors(&self) -> usize {
@@ -336,18 +323,6 @@ mod tests {
         assert_eq!(m.in_flight(), 2);
         m.drain_due(0, 1);
         assert_eq!(m.in_flight(), 1);
-    }
-
-    #[test]
-    fn reset_empties_and_resizes() {
-        let mut m = Mailboxes::new(2);
-        m.push(0, 1, msg(1));
-        m.push(1, 2, msg(0));
-        m.reset(3);
-        assert_eq!(m.processors(), 3);
-        assert_eq!(m.in_flight(), 0);
-        m.push(2, 1, msg(0));
-        assert_eq!(m.drain_due(2, 1).len(), 1);
     }
 
     fn payload(bit: usize) -> Arc<BitSet> {

@@ -160,41 +160,6 @@ impl SimulationBuilder {
     }
 }
 
-/// The recycled per-run scratch state: both delivery engines, the
-/// ground-truth task set, the work tally, and the inbox buffer. A batch
-/// resets one arena per replicate instead of reallocating any of it.
-struct SimArena {
-    mailboxes: Mailboxes,
-    bus: BroadcastBus,
-    tasks_done: BitSet,
-    work: WorkTally,
-    inbox: Vec<Message>,
-}
-
-impl SimArena {
-    fn new() -> Self {
-        Self {
-            mailboxes: Mailboxes::new(0),
-            bus: BroadcastBus::new(0),
-            tasks_done: BitSet::new(0),
-            work: WorkTally::new(0),
-            inbox: Vec::new(),
-        }
-    }
-
-    fn reset(&mut self, processors: usize, tasks: usize) {
-        self.mailboxes.reset(processors);
-        self.bus.reset(processors);
-        if self.tasks_done.len() == tasks {
-            self.tasks_done.clear();
-        } else {
-            self.tasks_done = BitSet::new(tasks);
-        }
-        self.work.reset(processors);
-        self.inbox.clear();
-    }
-}
-
 impl Simulation {
     /// Starts building a simulation of `instance`. Provide the processor
     /// state machines and the adversary, then call
@@ -209,55 +174,6 @@ impl Simulation {
         }
     }
 
-    /// Batch entry point: runs `runs` independent executions of the same
-    /// instance, one per seed `0..runs`, each with its own processor set
-    /// and adversary, and returns the reports in seed order.
-    ///
-    /// This is the building block of the sweep harness: a grid cell maps
-    /// to one `run_batch` call whose reports are then aggregated (see
-    /// [`crate::analysis::summarize`]). The factories receive the seed so
-    /// randomized algorithms/adversaries derive their state from it —
-    /// which is what makes batches reproducible and independent of any
-    /// outer parallelism.
-    ///
-    /// `procs_for` *fills* a recycled vector rather than returning a
-    /// fresh one, and every run reuses one arena (mailboxes, broadcast
-    /// bus, tallies, inbox scratch), so a batch's per-replicate
-    /// allocations are only what the algorithms themselves allocate.
-    /// Runs are untraced; reports are byte-identical to per-replicate
-    /// construction via [`Simulation::builder`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a factory fills in the wrong number of processors (same
-    /// contract as [`SimulationBuilder::build`]).
-    #[must_use]
-    pub fn run_batch(
-        instance: Instance,
-        runs: u64,
-        max_ticks: u64,
-        mut procs_for: impl FnMut(u64, &mut Vec<Box<dyn DoAllProcess>>),
-        mut adversary_for: impl FnMut(u64) -> Box<dyn Adversary>,
-    ) -> Vec<RunReport> {
-        let mut arena = SimArena::new();
-        let mut procs: Vec<Box<dyn DoAllProcess>> = Vec::new();
-        (0..runs)
-            .map(|seed| {
-                procs.clear();
-                procs_for(seed, &mut procs);
-                let mut adversary = adversary_for(seed);
-                execute(
-                    instance,
-                    &mut procs,
-                    adversary.as_mut(),
-                    max_ticks,
-                    &mut arena,
-                    &mut NoTrace,
-                )
-            })
-            .collect()
-    }
-
     /// Runs the execution to σ (or the tick cutoff) and returns the
     /// report. Use [`run_traced`](Self::run_traced) to also retrieve the
     /// trace.
@@ -270,58 +186,44 @@ impl Simulation {
     /// recording [`TraceMode`] was selected at build time).
     #[must_use]
     pub fn run_traced(mut self) -> (RunReport, Option<Trace>) {
-        let mut arena = SimArena::new();
-        let max_ticks = self.max_ticks;
-        match self.trace {
+        let mut trace = match self.trace {
             TraceMode::Off => {
                 let report = execute(
                     self.instance,
                     &mut self.procs,
                     self.adversary.as_mut(),
-                    max_ticks,
-                    &mut arena,
+                    self.max_ticks,
                     &mut NoTrace,
                 );
-                (report, None)
+                return (report, None);
             }
-            TraceMode::Buffered(capacity) => {
-                let mut trace = Trace::with_capacity(capacity);
-                let report = execute(
-                    self.instance,
-                    &mut self.procs,
-                    self.adversary.as_mut(),
-                    max_ticks,
-                    &mut arena,
-                    &mut trace,
-                );
-                (report, Some(trace))
+            TraceMode::Buffered(capacity) => Trace::with_capacity(capacity),
+            TraceMode::Recycled(mut buffer) => {
+                buffer.clear();
+                buffer
             }
-            TraceMode::Recycled(ref mut buffer) => {
-                let mut trace = std::mem::replace(buffer, Trace::with_capacity(0));
-                trace.clear();
-                let report = execute(
-                    self.instance,
-                    &mut self.procs,
-                    self.adversary.as_mut(),
-                    max_ticks,
-                    &mut arena,
-                    &mut trace,
-                );
-                (report, Some(trace))
-            }
-        }
+        };
+        let report = execute(
+            self.instance,
+            &mut self.procs,
+            self.adversary.as_mut(),
+            self.max_ticks,
+            &mut trace,
+        );
+        (report, Some(trace))
     }
 }
 
 /// The inner loop, monomorphized over the recorder: the
 /// [`TraceMode::Off`] instantiation (`R = NoTrace`) contains no event
-/// construction or recording branches at all.
+/// construction or recording branches at all. Every run starts from
+/// fresh scratch state: both delivery engines, the ground-truth task
+/// set, the work tally and the inbox buffer.
 fn execute<R: Recorder>(
     instance: Instance,
     procs: &mut [Box<dyn DoAllProcess>],
     adversary: &mut dyn Adversary,
     max_ticks: u64,
-    arena: &mut SimArena,
     rec: &mut R,
 ) -> RunReport {
     let p = instance.processors();
@@ -331,7 +233,11 @@ fn execute<R: Recorder>(
         p,
         "need exactly one state machine per processor"
     );
-    arena.reset(p, t);
+    let mut mailboxes = Mailboxes::new(p);
+    let mut bus = BroadcastBus::new(p);
+    let mut tasks_done = BitSet::new(t);
+    let mut work = WorkTally::new(p);
+    let mut inbox: Vec<Message> = Vec::new();
     let delivery = adversary.delivery();
     let mut msgs = MessageTally::new();
     let mut sigma: Option<u64> = None;
@@ -343,9 +249,9 @@ fn execute<R: Recorder>(
                 now,
                 processors: p,
                 tasks: t,
-                tasks_done: &arena.tasks_done,
+                tasks_done: &tasks_done,
             };
-            adversary.schedule(&view, procs, &arena.mailboxes)
+            adversary.schedule(&view, procs, &mailboxes)
         };
         assert_eq!(plan.len(), p, "adversary must plan every processor");
 
@@ -355,16 +261,16 @@ fn execute<R: Recorder>(
             if !plan[pid] {
                 continue;
             }
-            arena.inbox.clear();
+            inbox.clear();
             if delivery == Delivery::UniformBroadcast {
-                arena.bus.deliver_into(pid, now, &mut arena.inbox);
+                bus.deliver_into(pid, now, &mut inbox);
             }
-            arena.mailboxes.drain_due_into(pid, now, &mut arena.inbox);
-            let outcome = procs[pid].step(&arena.inbox);
-            arena.work.charge(pid);
+            mailboxes.drain_due_into(pid, now, &mut inbox);
+            let outcome = procs[pid].step(&inbox);
+            work.charge(pid);
 
             if let Some(task) = outcome.performed {
-                arena.tasks_done.insert(task.index());
+                tasks_done.insert(task.index());
             }
             if R::ENABLED {
                 rec.record(TraceEvent::Step {
@@ -400,7 +306,7 @@ fn execute<R: Recorder>(
                                         now,
                                         processors: p,
                                         tasks: t,
-                                        tasks_done: &arena.tasks_done,
+                                        tasks_done: &tasks_done,
                                     };
                                     let delay = adversary.message_delay(
                                         &view,
@@ -411,7 +317,7 @@ fn execute<R: Recorder>(
                                         delay >= 1,
                                         "message delays are at least one time unit"
                                     );
-                                    arena.bus.push(from, now + delay, &bits);
+                                    bus.push(from, now + delay, &bits);
                                 }
                                 Delivery::PerRecipient => {
                                     for to in (0..p).filter(|&to| to != pid) {
@@ -419,7 +325,7 @@ fn execute<R: Recorder>(
                                             now,
                                             processors: p,
                                             tasks: t,
-                                            tasks_done: &arena.tasks_done,
+                                            tasks_done: &tasks_done,
                                         };
                                         let delay =
                                             adversary.message_delay(&view, from, ProcId::new(to));
@@ -430,7 +336,7 @@ fn execute<R: Recorder>(
                                         // Zero-copy fan-out: every
                                         // envelope shares the one payload
                                         // allocation.
-                                        arena.mailboxes.push(
+                                        mailboxes.push(
                                             to,
                                             now + delay,
                                             Message::new(from, Arc::clone(&bits)),
@@ -464,15 +370,11 @@ fn execute<R: Recorder>(
                                 now,
                                 processors: p,
                                 tasks: t,
-                                tasks_done: &arena.tasks_done,
+                                tasks_done: &tasks_done,
                             };
                             let delay = adversary.message_delay(&view, from, ProcId::new(to));
                             assert!(delay >= 1, "message delays are at least one time unit");
-                            arena.mailboxes.push(
-                                to,
-                                now + delay,
-                                Message::new(from, Arc::clone(&bits)),
-                            );
+                            mailboxes.push(to, now + delay, Message::new(from, Arc::clone(&bits)));
                         }
                     }
                 }
@@ -486,7 +388,7 @@ fn execute<R: Recorder>(
             // σ per Definition 2.1: every step completed at time σ is
             // still charged (the loop above ran the whole tick).
             assert!(
-                arena.tasks_done.is_full(),
+                tasks_done.is_full(),
                 "processor {pid} claims completion but tasks remain — algorithm bug"
             );
             sigma = Some(now);
@@ -499,11 +401,11 @@ fn execute<R: Recorder>(
     }
 
     RunReport {
-        work: arena.work.total(),
+        work: work.total(),
         messages: msgs.total(),
         sigma,
-        completed: arena.tasks_done.is_full() && sigma.is_some(),
-        work_per_processor: arena.work.per_processor().to_vec(),
+        completed: tasks_done.is_full() && sigma.is_some(),
+        work_per_processor: work.per_processor().to_vec(),
     }
 }
 
@@ -785,44 +687,6 @@ mod tests {
             .run_traced();
         assert_eq!(off, buffered, "tracing must never perturb a run");
         assert!(trace.is_some());
-    }
-
-    #[test]
-    fn run_batch_returns_reports_in_seed_order() {
-        let instance = Instance::new(1, 5).unwrap();
-        let reports = Simulation::run_batch(
-            instance,
-            3,
-            1_000,
-            |_, procs| procs.extend(sweep_procs(1, 5)),
-            |seed| Box::new(FixedDelay::new(seed + 1)),
-        );
-        assert_eq!(reports.len(), 3);
-        // Communication-free sweeps: every seed yields the same report.
-        assert!(reports.iter().all(|r| r.completed && r.work == 5));
-    }
-
-    #[test]
-    fn run_batch_matches_per_replicate_construction() {
-        let instance = Instance::new(2, 8).unwrap();
-        let batched = Simulation::run_batch(
-            instance,
-            4,
-            1_000,
-            |_, procs| procs.extend(sweep_procs(2, 8)),
-            |seed| Box::new(FixedDelay::new(seed + 1)),
-        );
-        let individual: Vec<RunReport> = (0..4)
-            .map(|seed| {
-                Simulation::builder(instance)
-                    .procs(sweep_procs(2, 8))
-                    .adversary(Box::new(FixedDelay::new(seed + 1)))
-                    .max_ticks(1_000)
-                    .build()
-                    .run()
-            })
-            .collect();
-        assert_eq!(batched, individual, "arena recycling must not leak state");
     }
 
     #[test]

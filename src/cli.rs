@@ -375,7 +375,7 @@ thread::current in deterministic crates; D004 no float accumulation
 (`+=`, `.sum()`) over non-deterministically-ordered iteration
 (HashMap/HashSet iters, read_dir, channel drains) in deterministic
 crates — collect and sort first; H001 no unwrap/expect/panic
-in library-crate non-test code; H002 every crate root carries
+in library-crate or input-parser non-test code; H002 every crate root carries
 #![forbid(unsafe_code)]. A finding is silenced by a
 `// lint:allow(RULE) — justification` comment on the offending line or
 the line above. Diagnostics are sorted and byte-identical across runs
