@@ -2,8 +2,9 @@
 //! the shared [`crate::resultset`] schema module), match cells by
 //! `(experiment, algo, adversary, backend, p, t, d, seeds)`, and
 //! classify every matched cell as exact or drifting and every unmatched
-//! cell as added or removed. Records without a `backend` field (every
-//! pre-backend baseline) key as `"sim"`, so old files keep matching.
+//! cell as added or removed. Every record the harness writes names its
+//! `backend`; records without the field (pre-backend files) key as
+//! `"sim"`, so old files keep matching.
 //!
 //! The sweep harness is byte-deterministic per cell (seeds derive from
 //! cell parameters, output carries nothing time- or machine-dependent),
@@ -31,7 +32,7 @@ pub use crate::resultset::{
     load_result_set, parse_json, parse_result_set, BaselineSet, CellKey, Json, ResultSetError,
 };
 
-use crate::resultset::{json_escape, json_number};
+use crate::resultset::{json_escape, json_number, write_key_fields};
 use crate::Table;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -424,22 +425,9 @@ impl Comparison {
         let _ = writeln!(out, "  \"clean\": {},", self.is_clean());
         out.push_str("  \"cells\": [\n");
         for (i, cell) in self.cells.iter().enumerate() {
-            let k = &cell.key;
-            let _ = write!(
-                out,
-                "    {{\"status\": \"{}\", \"experiment\": \"{}\", \"algo\": \"{}\", \
-                 \"adversary\": \"{}\", \"backend\": \"{}\", \"p\": {}, \"t\": {}, \"d\": {}, \
-                 \"seeds\": {}, \"metrics\": [",
-                cell.status.label(),
-                json_escape(&k.experiment),
-                json_escape(&k.algo),
-                json_escape(&k.adversary),
-                json_escape(&k.backend),
-                k.p,
-                k.t,
-                k.d,
-                k.seeds,
-            );
+            let _ = write!(out, "    {{\"status\": \"{}\", ", cell.status.label());
+            write_key_fields(&mut out, &cell.key);
+            out.push_str(", \"metrics\": [");
             for (j, delta) in cell.deltas.iter().enumerate() {
                 let opt = |v: Option<f64>| match v {
                     Some(v) => json_number(v),
@@ -541,7 +529,7 @@ mod tests {
                     d: 2,
                     seeds: 1,
                     cell_seed: 7,
-                    backend: Some(backend),
+                    backend,
                 },
                 metrics,
             }

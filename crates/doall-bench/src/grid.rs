@@ -288,14 +288,11 @@ impl fmt::Display for AdversarySpec {
 }
 
 /// Execution backend for a cell: the discrete-event simulator (the
-/// default, and the only backend before backends became a grid axis) or
-/// `doall-runtime`'s real OS threads with delayed channels.
+/// default) or `doall-runtime`'s real OS threads with delayed channels.
 ///
-/// Grammar: `backends=sim,threads`. A grid without the axis is a *legacy
-/// sim-only* grid — its cells carry no backend tag, render exactly as
-/// before, and keep their byte-for-byte baselines; a grid that names the
-/// axis (even just `backends=sim`) tags every cell and switches its
-/// records to the extended schema (see `CellMeasurement::metrics`).
+/// Grammar: `backends=sim,threads`. A grid without the axis runs on
+/// `sim` alone, exactly as if it spelled `backends=sim`; every record
+/// names its backend either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Backend {
     /// Deterministic discrete-event simulation (predicted curves).
@@ -356,13 +353,10 @@ pub struct Cell {
     /// Cell seed, derived from the grid's base seed and the cell's own
     /// parameters (not its position or execution order).
     pub cell_seed: u64,
-    /// Execution backend. `None` for cells of a legacy grid (no
-    /// `backends=` axis): they run on the simulator with the legacy
-    /// record schema. `Some(_)` for cells of a backend-aware grid, which
-    /// use the extended schema. The backend is *not* hashed into the cell
-    /// seed, so the sim and threads variants of a scenario share replicate
-    /// seeds — the same algorithm randomness on both substrates.
-    pub backend: Option<Backend>,
+    /// Execution backend. It is *not* hashed into the cell seed, so the
+    /// sim and threads variants of a scenario share replicate seeds — the
+    /// same algorithm randomness on both substrates.
+    pub backend: Backend,
 }
 
 impl Cell {
@@ -370,13 +364,6 @@ impl Cell {
     #[must_use]
     pub fn run_seed(&self, k: u64) -> u64 {
         splitmix64(self.cell_seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-    }
-
-    /// The backend this cell executes on ([`Backend::Sim`] for legacy
-    /// cells without an explicit tag).
-    #[must_use]
-    pub fn effective_backend(&self) -> Backend {
-        self.backend.unwrap_or_default()
     }
 }
 
@@ -386,14 +373,7 @@ impl Cell {
 pub fn cell_label(cell: &Cell) -> String {
     format!(
         "algo={} adversary={} backend={} p={} t={} d={} seeds={} seed={:#018x}",
-        cell.algo,
-        cell.adversary,
-        cell.effective_backend(),
-        cell.p,
-        cell.t,
-        cell.d,
-        cell.seeds,
-        cell.cell_seed
+        cell.algo, cell.adversary, cell.backend, cell.p, cell.t, cell.d, cell.seeds, cell.cell_seed
     )
 }
 
@@ -436,11 +416,8 @@ pub struct Grid {
     pub shapes: Vec<(usize, usize)>,
     /// Delay bounds.
     pub ds: Vec<u64>,
-    /// Execution backends (`backends=sim,threads`). Empty means the axis
-    /// was omitted: a legacy sim-only grid whose cells carry no backend
-    /// tag, render exactly as before the axis existed, and keep their
-    /// byte-for-byte baselines. Non-empty (even just `[Sim]`) tags every
-    /// cell and switches records to the extended schema.
+    /// Execution backends (`backends=sim,threads`); `[Sim]` when the
+    /// axis is omitted.
     pub backends: Vec<Backend>,
     /// Replicates per cell.
     pub seeds: u64,
@@ -460,7 +437,7 @@ impl Grid {
         let mut adversaries: Option<Vec<AdversarySpec>> = None;
         let mut shapes: Option<Vec<(usize, usize)>> = None;
         let mut ds: Option<Vec<u64>> = None;
-        let mut backends: Vec<Backend> = Vec::new();
+        let mut backends = vec![Backend::Sim];
         let mut seeds = 1u64;
         let mut base_seed = 0u64;
         for field in spec.split_whitespace() {
@@ -550,11 +527,15 @@ impl Grid {
     ///
     /// Returns a [`GridError`] naming the first bad key or empty axis.
     pub fn validate(&self) -> Result<(), GridError> {
-        if self.algos.is_empty() || self.adversaries.is_empty() {
+        let axis_lens = [
+            self.algos.len(),
+            self.adversaries.len(),
+            self.shapes.len(),
+            self.ds.len(),
+            self.backends.len(),
+        ];
+        if axis_lens.contains(&0) {
             return Err(err("grid axes must be non-empty"));
-        }
-        if self.shapes.is_empty() || self.ds.is_empty() {
-            return Err(err("grid needs at least one shape and one d"));
         }
         if self.seeds == 0 {
             return Err(err("seeds must be at least 1"));
@@ -581,9 +562,10 @@ impl Grid {
         unique_axis(&self.adversaries, "advs")?;
         unique_axis(&self.shapes, "shapes")?;
         unique_axis(&self.ds, "ds")?;
-        // An empty backends axis means "axis omitted" (legacy sim-only),
-        // so only a named axis is checked for duplicates.
         unique_axis(&self.backends, "backends")?;
+        for &(p, t) in &self.shapes {
+            validate_shape(p, t)?;
+        }
         Ok(())
     }
 
@@ -592,13 +574,6 @@ impl Grid {
     /// and threads variants of a scenario sit next to each other).
     #[must_use]
     pub fn cells(&self) -> Vec<Cell> {
-        // An omitted backends axis expands like `[Sim]` but leaves cells
-        // untagged (legacy schema and rendering).
-        let backends: Vec<Option<Backend>> = if self.backends.is_empty() {
-            vec![None]
-        } else {
-            self.backends.iter().map(|&b| Some(b)).collect()
-        };
         let mut out = Vec::new();
         for algo in &self.algos {
             for &adversary in &self.adversaries {
@@ -609,15 +584,15 @@ impl Grid {
                 for &(p, t) in &self.shapes {
                     for &d in &self.ds {
                         // The backend is deliberately absent from the
-                        // hash: sim-only grids keep their legacy seeds,
-                        // and both backends of a scenario share replicate
-                        // seeds (same algorithm randomness on each).
+                        // hash: both backends of a scenario share
+                        // replicate seeds (same algorithm randomness on
+                        // each).
                         let mut h = fnv1a(algo.as_bytes(), 0xcbf2_9ce4_8422_2325);
                         h = fnv1a(adversary_key.as_bytes(), h);
                         h = fnv1a(&(p as u64).to_le_bytes(), h);
                         h = fnv1a(&(t as u64).to_le_bytes(), h);
                         h = fnv1a(&d.to_le_bytes(), h);
-                        for &backend in &backends {
+                        for &backend in &self.backends {
                             out.push(Cell {
                                 algo: algo.clone(),
                                 adversary,
@@ -650,10 +625,9 @@ impl fmt::Display for Grid {
             .iter()
             .map(AdversarySpec::to_string)
             .collect();
-        // An omitted backends axis renders as nothing at all, so legacy
-        // sim-only grids keep their exact pre-axis spelling (and parse ∘
-        // render stays the identity in both directions).
-        let backends = if self.backends.is_empty() {
+        // The default axis renders as nothing at all, so an omitted axis
+        // and `backends=sim` share one canonical spelling.
+        let backends = if self.backends == [Backend::Sim] {
             String::new()
         } else {
             let tokens: Vec<&str> = self.backends.iter().map(|b| b.label()).collect();
@@ -671,6 +645,34 @@ impl fmt::Display for Grid {
             self.base_seed
         )
     }
+}
+
+/// Largest processor count a cell may have.
+pub const MAX_P: usize = 1 << 20;
+
+/// Largest `p · t` a cell may have: every processor keeps a `t`-bit
+/// view of the done tasks, so this caps those views at 512 MiB — the
+/// p = t = 65536 scale cell.
+pub const MAX_PT: u128 = 1 << 32;
+
+/// Rejects a shape whose per-processor state could not be allocated, so
+/// it fails with an error instead of aborting the process mid-run.
+///
+/// # Errors
+///
+/// Returns a [`GridError`] naming the shape and the cap it exceeds.
+pub fn validate_shape(p: usize, t: usize) -> Result<(), GridError> {
+    if p > MAX_P {
+        return Err(err(format!(
+            "shape `{p}x{t}`: p exceeds the cap of {MAX_P}"
+        )));
+    }
+    if p as u128 * t as u128 > MAX_PT {
+        return Err(err(format!(
+            "shape `{p}x{t}`: p·t exceeds the cap of {MAX_PT}"
+        )));
+    }
+    Ok(())
 }
 
 /// Validates an algorithm key without building it (no instance needed).
@@ -925,7 +927,7 @@ mod tests {
         let grid = Grid::parse("algos=paran1 shapes=4x8").unwrap();
         assert_eq!(grid.adversaries, vec![AdversarySpec::Stage]);
         assert_eq!(grid.ds, vec![1]);
-        assert_eq!(grid.backends, Vec::new(), "omitted axis stays omitted");
+        assert_eq!(grid.backends, vec![Backend::Sim], "omitted axis is sim");
         assert_eq!(grid.seeds, 1);
         assert_eq!(grid.base_seed, 0);
     }
@@ -941,46 +943,35 @@ mod tests {
         // One cell per (scenario × backend), backend innermost.
         let cells = grid.cells();
         assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].backend, Some(Backend::Sim));
-        assert_eq!(cells[1].backend, Some(Backend::Threads));
-        assert_eq!(cells[0].effective_backend(), Backend::Sim);
-        assert_eq!(cells[1].effective_backend(), Backend::Threads);
+        assert_eq!(cells[0].backend, Backend::Sim);
+        assert_eq!(cells[1].backend, Backend::Threads);
     }
 
     #[test]
     fn backends_axis_does_not_perturb_cell_seeds() {
         // The backend is not hashed: a scenario's sim and threads cells
-        // share seeds with each other *and* with the legacy untagged cell,
-        // so sim-only baselines survive and e17's curves compare
-        // like-for-like randomness.
-        let legacy = Grid::parse("algos=paran1 advs=stage shapes=4x8 ds=2 seeds=3 seed=7").unwrap();
-        let tagged = Grid::parse(
+        // share seeds with each other *and* with the sim-only grid, so
+        // e17's curves compare like-for-like randomness.
+        let sim = Grid::parse("algos=paran1 advs=stage shapes=4x8 ds=2 seeds=3 seed=7").unwrap();
+        let both = Grid::parse(
             "algos=paran1 advs=stage backends=sim,threads shapes=4x8 ds=2 seeds=3 seed=7",
         )
         .unwrap();
-        let (lc, tc) = (legacy.cells(), tagged.cells());
-        assert_eq!(lc.len(), 1);
-        assert_eq!(tc.len(), 2);
-        assert_eq!(lc[0].backend, None, "legacy cells stay untagged");
-        for cell in &tc {
-            assert_eq!(cell.cell_seed, lc[0].cell_seed);
-            assert_eq!(cell.run_seed(2), lc[0].run_seed(2));
-        }
+        let (sc, bc) = (sim.cells(), both.cells());
+        assert_eq!(sc.len(), 1);
+        assert_eq!(bc.len(), 2);
+        assert_eq!(bc[0], sc[0], "the sim cell is the sim-only grid's cell");
+        assert_eq!(bc[1].cell_seed, sc[0].cell_seed);
+        assert_eq!(bc[1].run_seed(2), sc[0].run_seed(2));
     }
 
     #[test]
-    fn explicit_sim_only_backends_axis_is_kept_explicit() {
-        // `backends=sim` is not the same spec as no axis: it opts the grid
-        // into the extended record schema, so Display must not elide it.
-        let grid =
-            Grid::parse("algos=paran1 advs=unit backends=sim shapes=4x8 ds=1 seeds=1 seed=0")
-                .unwrap();
-        assert_eq!(
-            grid.to_string(),
-            "algos=paran1 advs=unit backends=sim shapes=4x8 ds=1 seeds=1 seed=0"
-        );
-        assert_eq!(grid.cells()[0].backend, Some(Backend::Sim));
-        assert_eq!(Grid::parse(&grid.to_string()).unwrap(), grid);
+    fn shapes_past_the_size_cap_are_rejected() {
+        assert!(validate_shape(65536, 65536).is_ok(), "the CI scale cell");
+        for (p, t) in [(65537, 65536), (MAX_P + 1, 1)] {
+            let e = validate_shape(p, t).unwrap_err().to_string();
+            assert!(e.contains(&format!("`{p}x{t}`")), "{e}");
+        }
     }
 
     #[test]

@@ -98,9 +98,8 @@ impl HistoryEntry {
 
     /// Renders the entry as one compact JSON line (no trailing newline).
     /// Deterministic: cells and metrics are sorted, floats print via
-    /// shortest-round-trip `Display`, and `backend` is always explicit
-    /// (the key is already canonical — there is no legacy spelling to
-    /// preserve in the ledger).
+    /// shortest-round-trip `Display`, and `backend` is always explicit,
+    /// as in every written record.
     #[must_use]
     pub fn render_line(&self) -> String {
         let mut out = format!(

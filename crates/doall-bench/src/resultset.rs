@@ -24,6 +24,9 @@
 //!   grid grammar in exactly one place ([`canonical_adversary`]), and
 //!   records without a `backend` field key as `"sim"`, so pre-backend
 //!   baselines keep matching.
+//! * **One record schema** — every writer spells a cell's identity
+//!   through one key-fields writer, so every written record names its
+//!   `backend`.
 
 use crate::grid::Cell;
 use crate::Table;
@@ -67,15 +70,15 @@ pub struct Record {
 
 impl Record {
     /// The record's cell identity — exactly the key parsing its rendered
-    /// JSON would produce (legacy untagged cells key as `sim`; the
-    /// in-memory adversary is structured, hence already canonical).
+    /// JSON would produce (the in-memory adversary is structured, hence
+    /// already canonical).
     #[must_use]
     pub fn key(&self) -> CellKey {
         CellKey {
             experiment: self.experiment.clone(),
             algo: self.cell.algo.clone(),
             adversary: self.cell.adversary.to_string(),
-            backend: self.cell.effective_backend().to_string(),
+            backend: self.cell.backend.to_string(),
             p: self.cell.p as u64,
             t: self.cell.t as u64,
             d: self.cell.d,
@@ -145,29 +148,8 @@ impl ResultSet {
         let _ = writeln!(out, "  \"mode\": \"{}\",", json_escape(&self.mode));
         out.push_str("  \"records\": [\n");
         for (i, r) in self.records.iter().enumerate() {
-            // Backend-tagged cells (grids with an explicit `backends=`
-            // axis) carry a `backend` field; legacy sim-only records
-            // render exactly as before the axis existed, so committed
-            // baselines stay byte-identical.
-            let backend = match r.cell.backend {
-                Some(b) => format!("\"backend\": \"{b}\", "),
-                None => String::new(),
-            };
-            let _ = write!(
-                out,
-                "    {{\"experiment\": \"{}\", \"algo\": \"{}\", \"adversary\": \"{}\", \
-                 {}\"p\": {}, \"t\": {}, \"d\": {}, \"seeds\": {}, \"metrics\": {{",
-                json_escape(&r.experiment),
-                json_escape(&r.cell.algo),
-                json_escape(&r.cell.adversary.to_string()),
-                backend,
-                r.cell.p,
-                r.cell.t,
-                r.cell.d,
-                r.cell.seeds,
-            );
-            render_metrics(&mut out, &r.metrics);
-            out.push_str("}}");
+            out.push_str("    ");
+            out.push_str(&render_key_record(&r.key(), &r.metrics));
             out.push_str(if i + 1 == self.records.len() {
                 "\n"
             } else {
@@ -179,30 +161,18 @@ impl ResultSet {
     }
 
     /// Renders the set as long-format CSV: one row per (cell, metric).
-    /// Backend-tagged result sets gain a `backend` column after
-    /// `adversary`; legacy sim-only sets keep the pre-axis header.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let tagged = self.records.iter().any(|r| r.cell.backend.is_some());
-        let mut out = String::from(if tagged {
-            "experiment,algo,adversary,backend,p,t,d,seeds,metric,value\n"
-        } else {
-            "experiment,algo,adversary,p,t,d,seeds,metric,value\n"
-        });
+        let mut out = String::from("experiment,algo,adversary,backend,p,t,d,seeds,metric,value\n");
         for r in &self.records {
-            let backend = if tagged {
-                format!("{},", r.cell.effective_backend())
-            } else {
-                String::new()
-            };
             for (name, value) in &r.metrics {
                 let _ = writeln!(
                     out,
-                    "{},{},{},{}{},{},{},{},{},{}",
+                    "{},{},{},{},{},{},{},{},{},{}",
                     r.experiment,
                     r.cell.algo,
                     r.cell.adversary,
-                    backend,
+                    r.cell.backend,
                     r.cell.p,
                     r.cell.t,
                     r.cell.d,
@@ -226,32 +196,27 @@ impl ResultSet {
                 j += 1;
             }
             let group = &self.records[i..j];
-            let tagged = group.iter().any(|r| r.cell.backend.is_some());
             let metric_names: BTreeSet<&String> =
                 group.iter().flat_map(|r| r.metrics.keys()).collect();
             let mut headers = vec![
                 "algo".to_string(),
                 "adversary".to_string(),
+                "backend".to_string(),
                 "p".to_string(),
                 "t".to_string(),
                 "d".to_string(),
             ];
-            if tagged {
-                headers.insert(2, "backend".to_string());
-            }
             headers.extend(metric_names.iter().map(|s| (*s).clone()));
             let mut table = Table::new(headers);
             for r in group {
                 let mut row = vec![
                     r.cell.algo.clone(),
                     r.cell.adversary.to_string(),
+                    r.cell.backend.to_string(),
                     r.cell.p.to_string(),
                     r.cell.t.to_string(),
                     r.cell.d.to_string(),
                 ];
-                if tagged {
-                    row.insert(2, r.cell.effective_backend().to_string());
-                }
                 for name in &metric_names {
                     row.push(match r.metrics.get(*name) {
                         Some(v) => crate::fmt(*v),
@@ -591,8 +556,6 @@ impl fmt::Display for CellKey {
             "{}/{} vs {} {}x{} d={} seeds={}",
             self.experiment, self.algo, self.adversary, self.p, self.t, self.d, self.seeds
         )?;
-        // The default backend stays invisible, so legacy (sim-only)
-        // renderings are unchanged.
         if self.backend != "sim" {
             write!(f, " backend={}", self.backend)?;
         }
@@ -677,8 +640,8 @@ pub(crate) fn record_from_json(
         experiment: as_str(field(record, "experiment", what)?, what)?.to_string(),
         algo: as_str(field(record, "algo", what)?, what)?.to_string(),
         adversary: canonical_adversary(&raw_adversary),
-        // Optional: absent on every pre-backend record (and on
-        // legacy, axis-omitted grids today), which keys as `sim`.
+        // Optional: absent on every pre-backend record, which keys as
+        // `sim`.
         backend: match record.get("backend") {
             Some(value) => as_str(value, what)?.to_string(),
             None => "sim".to_string(),
@@ -777,16 +740,14 @@ pub fn load_result_set(path: &str) -> Result<BaselineSet, ResultSetError> {
     parse_result_set(&text).map_err(|e| err(format!("{path}: {e}")))
 }
 
-/// Renders one keyed cell as a compact record object (the history
-/// ledger's per-record form). Unlike [`ResultSet::to_json`], the
-/// `backend` field is always present — the key is already canonical, so
-/// there is no legacy spelling to preserve.
-pub(crate) fn render_key_record(key: &CellKey, metrics: &BTreeMap<String, f64>) -> String {
-    let mut out = String::new();
+/// Writes a cell's identity as the `"experiment": …, "seeds": N`
+/// members of a JSON object — the one spelling of the key fields that
+/// result sets, ledger entries, diffs and trend violations share.
+pub(crate) fn write_key_fields(out: &mut String, key: &CellKey) {
     let _ = write!(
         out,
-        "{{\"experiment\": \"{}\", \"algo\": \"{}\", \"adversary\": \"{}\", \
-         \"backend\": \"{}\", \"p\": {}, \"t\": {}, \"d\": {}, \"seeds\": {}, \"metrics\": {{",
+        "\"experiment\": \"{}\", \"algo\": \"{}\", \"adversary\": \"{}\", \
+         \"backend\": \"{}\", \"p\": {}, \"t\": {}, \"d\": {}, \"seeds\": {}",
         json_escape(&key.experiment),
         json_escape(&key.algo),
         json_escape(&key.adversary),
@@ -796,6 +757,14 @@ pub(crate) fn render_key_record(key: &CellKey, metrics: &BTreeMap<String, f64>) 
         key.d,
         key.seeds,
     );
+}
+
+/// Renders one keyed cell as a compact record object: a result set's
+/// record line and the history ledger's per-record form.
+pub(crate) fn render_key_record(key: &CellKey, metrics: &BTreeMap<String, f64>) -> String {
+    let mut out = String::from("{");
+    write_key_fields(&mut out, key);
+    out.push_str(", \"metrics\": {");
     render_metrics(&mut out, metrics);
     out.push_str("}}");
     out
@@ -804,6 +773,7 @@ pub(crate) fn render_key_record(key: &CellKey, metrics: &BTreeMap<String, f64>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::Backend;
 
     fn record(exp: &str, algo: &str, d: u64, work: f64) -> Record {
         let mut metrics = BTreeMap::new();
@@ -819,7 +789,7 @@ mod tests {
                 d,
                 seeds: 2,
                 cell_seed: 7,
-                backend: None,
+                backend: Backend::Sim,
             },
             metrics,
         }
@@ -860,11 +830,9 @@ mod tests {
 
     #[test]
     fn backend_tagged_records_render_the_backend_everywhere() {
-        use crate::grid::Backend;
-        let mut sim = record("e17", "da:3", 2, 40.0);
-        sim.cell.backend = Some(Backend::Sim);
+        let sim = record("e17", "da:3", 2, 40.0);
         let mut threads = record("e17", "da:3", 2, 44.0);
-        threads.cell.backend = Some(Backend::Threads);
+        threads.cell.backend = Backend::Threads;
         let set = ResultSet {
             mode: "custom".to_string(),
             records: vec![sim, threads],
@@ -879,20 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn untagged_records_render_the_legacy_schema() {
-        // No `backends=` axis ⇒ not a byte of output changes: the exact
-        // guarantee committed baselines rely on.
-        let set = ResultSet {
-            mode: "smoke".to_string(),
-            records: vec![record("e01", "soloall", 1, 64.0)],
-        };
-        assert!(!set.to_json().contains("backend"));
-        assert!(set
-            .to_csv()
-            .starts_with("experiment,algo,adversary,p,t,d,seeds,metric,value\n"));
-    }
-
-    #[test]
     fn csv_has_one_row_per_metric() {
         let set = ResultSet {
             mode: "smoke".to_string(),
@@ -903,9 +857,9 @@ mod tests {
         assert_eq!(lines.len(), 3, "header + 2 metrics");
         assert_eq!(
             lines[0],
-            "experiment,algo,adversary,p,t,d,seeds,metric,value"
+            "experiment,algo,adversary,backend,p,t,d,seeds,metric,value"
         );
-        assert!(lines[1].starts_with("e01,soloall,stage,4,16,1,2,mean_work,"));
+        assert!(lines[1].starts_with("e01,soloall,stage,sim,4,16,1,2,mean_work,"));
     }
 
     #[test]

@@ -513,7 +513,7 @@ impl Assertion {
             let actual = match key.as_str() {
                 "algo" => cell.algo.clone(),
                 "adversary" => cell.adversary.to_string(),
-                "backend" => cell.effective_backend().to_string(),
+                "backend" => cell.backend.to_string(),
                 "p" => cell.p.to_string(),
                 "t" => cell.t.to_string(),
                 _ => cell.d.to_string(),
@@ -1085,7 +1085,7 @@ impl fmt::Display for Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::AdversarySpec;
+    use crate::grid::{AdversarySpec, Backend};
 
     fn cell(algo: &str, p: usize, t: usize, d: u64) -> Cell {
         Cell {
@@ -1096,7 +1096,7 @@ mod tests {
             d,
             seeds: 2,
             cell_seed: 7,
-            backend: None,
+            backend: Backend::Sim,
         }
     }
 

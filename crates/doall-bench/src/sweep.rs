@@ -15,6 +15,7 @@
 //! `p = 4096, seeds = 32`) now spreads across every worker instead of
 //! pinning one thread.
 
+use crate::compare::MEASURED_ONLY_METRICS;
 use crate::grid::{
     build_adversary, build_algorithm, cell_label, crash_plan, straggler_flags, AdversarySpec,
     Backend, Cell, GridError, ALGO_NONE,
@@ -180,13 +181,12 @@ pub struct CellMeasurement {
     /// - `straggler_count`: for `straggler:<pct>:<slowdown>` adversaries,
     ///   the number of slow processors (capped at `p − 1`);
     /// - `wall_clock_ms` / `crashed_drained` / `max_crashed_backlog`: on
-    ///   backend-tagged cells, the mean wall-clock per replicate, the mean
-    ///   messages dropped from crashed inboxes
+    ///   every cell, the mean wall-clock per replicate, the mean messages
+    ///   dropped from crashed inboxes
     ///   ([`doall_runtime::RuntimeStats::crashed_drained`]) and the largest
     ///   single drain batch
     ///   ([`doall_runtime::RuntimeStats::max_crashed_backlog`]). Measured
-    ///   on `threads`, always `0` under `sim`, absent on legacy
-    ///   (axis-omitted) cells so their schema is untouched.
+    ///   on `threads`, always `0` under `sim`.
     pub extras: BTreeMap<String, f64>,
 }
 
@@ -352,7 +352,7 @@ pub fn run_cells_with_stats(
         if cell.algo == "padet-affine" {
             build_algorithm(&cell.algo, instance, cell.run_seed(0))?;
         }
-        if cfg.trace && cell.algo != ALGO_NONE && cell.effective_backend() == Backend::Threads {
+        if cfg.trace && cell.algo != ALGO_NONE && cell.backend == Backend::Threads {
             return Err(SweepError::TraceThreads {
                 cell: cell_label(cell),
             });
@@ -486,7 +486,7 @@ fn run_shard(
 ) -> Result<ShardOutput, SweepError> {
     let instance =
         Instance::new(cell.p, cell.t).map_err(|e| SweepError::Instance(e.to_string()))?;
-    let threads = cell.effective_backend() == Backend::Threads;
+    let threads = cell.backend == Backend::Threads;
     let plan = cell_crash_plan(cell, cfg);
     let pace_overrides: Vec<Option<Duration>> = match cell.adversary {
         AdversarySpec::Straggler { pct, slowdown } if threads => straggler_flags(pct, cell.p)
@@ -587,7 +587,12 @@ fn run_shard(
 /// Merges a cell's shard outputs back, in replicate order, into the
 /// measurement a sequential run would have produced.
 fn merge_cell(cell: &Cell, cfg: &SweepConfig, shards: Vec<Option<ShardOutput>>) -> CellMeasurement {
-    let mut extras = BTreeMap::new();
+    // The measured-only trio is on every cell; only `threads` replicates
+    // carry probes, so `sim` and derive-only cells read zeros.
+    let mut extras: BTreeMap<String, f64> = MEASURED_ONLY_METRICS
+        .iter()
+        .map(|name| (name.to_string(), 0.0))
+        .collect();
     if cell.algo == ALGO_NONE {
         return CellMeasurement {
             cell: cell.clone(),
@@ -626,19 +631,12 @@ fn merge_cell(cell: &Cell, cfg: &SweepConfig, shards: Vec<Option<ShardOutput>>) 
         let slow = straggler_flags(pct, cell.p).iter().filter(|&&s| s).count();
         put("straggler_count", slow as f64);
     }
-    // The measured-only trio exists exactly on backend-tagged cells —
-    // `sim` cells carry no probes and read zeros, keeping the schema
-    // identical across a tagged grid's backends, while legacy
-    // (axis-omitted) cells stay byte-identical to their pre-backend
-    // output.
-    if cell.backend.is_some() {
-        let n = probes.len().max(1) as f64;
-        let mean = |f: fn(&ThreadsProbe) -> f64| probes.iter().map(f).fold(0.0, |a, x| a + x) / n;
-        put("wall_clock_ms", mean(|pr| pr.wall_clock_ms));
-        put("crashed_drained", mean(|pr| pr.crashed_drained as f64));
-        let backlog = probes.iter().map(|pr| pr.max_crashed_backlog).max();
-        put("max_crashed_backlog", backlog.unwrap_or(0) as f64);
-    }
+    let n = probes.len().max(1) as f64;
+    let mean = |f: fn(&ThreadsProbe) -> f64| probes.iter().map(f).fold(0.0, |a, x| a + x) / n;
+    put("wall_clock_ms", mean(|pr| pr.wall_clock_ms));
+    put("crashed_drained", mean(|pr| pr.crashed_drained as f64));
+    let backlog = probes.iter().map(|pr| pr.max_crashed_backlog).max();
+    put("max_crashed_backlog", backlog.unwrap_or(0) as f64);
     CellMeasurement {
         cell: cell.clone(),
         summary: Some(summarize(&reports)),
@@ -666,7 +664,7 @@ fn crash_stats(cell: &Cell, cfg: &SweepConfig, fired: &[usize]) -> Option<(f64, 
         return None;
     };
     let scheduled = cell_crash_plan(cell, cfg).iter().flatten().count();
-    let sim = cell.effective_backend() == Backend::Sim;
+    let sim = cell.backend == Backend::Sim;
     if let Some(replicate) = fired.iter().position(|&n| n == 0) {
         assert!(
             !sim || scheduled == 0 || cell.t < 2,

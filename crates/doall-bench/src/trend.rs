@@ -19,7 +19,7 @@
 
 use crate::compare::{drifted, metric_exempt};
 use crate::history::{History, HistoryEntry};
-use crate::resultset::{json_escape, json_number, CellKey};
+use crate::resultset::{json_escape, json_number, write_key_fields, CellKey};
 use crate::Table;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -503,21 +503,12 @@ impl TrendReport {
         let _ = writeln!(out, "  \"checked\": {},", self.checked);
         out.push_str("  \"violations\": [\n");
         for (i, v) in self.violations.iter().enumerate() {
-            let k = &v.key;
+            out.push_str("    {");
+            write_key_fields(&mut out, &v.key);
             let _ = write!(
                 out,
-                "    {{\"experiment\": \"{}\", \"algo\": \"{}\", \"adversary\": \"{}\", \
-                 \"backend\": \"{}\", \"p\": {}, \"t\": {}, \"d\": {}, \"seeds\": {}, \
-                 \"metric\": \"{}\", \"series\": {}, \"first\": {}, \"last\": {}, \
+                ", \"metric\": \"{}\", \"series\": {}, \"first\": {}, \"last\": {}, \
                  \"rel_drift\": {}, \"band\": {}}}",
-                json_escape(&k.experiment),
-                json_escape(&k.algo),
-                json_escape(&k.adversary),
-                json_escape(&k.backend),
-                k.p,
-                k.t,
-                k.d,
-                k.seeds,
                 json_escape(&v.metric),
                 series(&v.series),
                 num(v.first),

@@ -155,37 +155,31 @@ fn single_cell_grids_schedule_multiple_shards() {
 }
 
 #[test]
-fn explicit_sim_axis_changes_schema_but_not_results() {
-    // `backends=sim` opts the grid into the extended schema (backend tags,
-    // zero-valued measured-only metrics) but must not move a single
-    // simulated number: cell seeds ignore the backend axis entirely.
-    let legacy =
-        Grid::parse("algos=paran1,da:2 advs=stage,crash:50@front shapes=4x8 ds=2 seeds=3 seed=11")
-            .expect("valid grid");
-    let tagged = Grid::parse(
-        "algos=paran1,da:2 advs=stage,crash:50@front backends=sim shapes=4x8 ds=2 seeds=3 seed=11",
-    )
-    .expect("valid grid");
+fn omitted_backends_axis_is_backends_sim() {
+    // One record schema: a grid that omits the axis *is* the `sim`-only
+    // grid — the same `Grid`, the same cells, and byte-identical records
+    // that name their backend and carry the zero-valued measured trio.
+    let spec = "algos=none,paran1,da:2 advs=stage,crash:50@front shapes=4x8 ds=2 seeds=3 seed=11";
+    let omitted = Grid::parse(spec).expect("valid grid");
+    let explicit =
+        Grid::parse(&spec.replace(" shapes=", " backends=sim shapes=")).expect("valid grid");
+    assert_eq!(omitted, explicit);
+    assert_eq!(omitted.cells(), explicit.cells());
     let cfg = SweepConfig::default();
-    let legacy_runs = run_cells(&legacy.cells(), &cfg).expect("legacy grid runs");
-    let tagged_runs = run_cells(&tagged.cells(), &cfg).expect("tagged grid runs");
-    assert_eq!(legacy_runs.len(), tagged_runs.len());
-    for (l, t) in legacy_runs.iter().zip(&tagged_runs) {
-        assert_eq!(l.cell.backend, None, "legacy cells stay untagged");
-        assert_eq!(t.cell.backend, Some(Backend::Sim));
-        let lm = l.metrics();
-        let mut tm = t.metrics();
-        for key in MEASURED_ONLY_METRICS {
-            match tm.remove(*key) {
-                Some(v) => assert_eq!(v, 0.0, "{key} must be zero under sim"),
-                None => assert_eq!(
-                    l.cell.algo, "none",
-                    "{key} missing on a tagged measuring cell"
-                ),
-            }
-            assert!(!lm.contains_key(*key), "{key} leaked into legacy schema");
-        }
-        assert_eq!(lm, tm, "sim results diverged for cell `{}`", l.cell.algo);
+    let (json, csv) = render_with(&omitted, &cfg);
+    assert_eq!((json.clone(), csv), render_with(&explicit, &cfg));
+    let records = json
+        .lines()
+        .filter(|l| l.contains("\"experiment\""))
+        .count();
+    assert_eq!(records, omitted.cells().len());
+    assert_eq!(json.matches("\"backend\": \"sim\"").count(), records);
+    for key in MEASURED_ONLY_METRICS {
+        assert_eq!(
+            json.matches(&format!("\"{key}\": 0")).count(),
+            records,
+            "{key}"
+        );
     }
 }
 
@@ -211,7 +205,7 @@ fn mixed_backend_grids_keep_sim_cells_byte_identical() {
         .expect("mixed grid runs");
         let records: Vec<Record> = measurements
             .into_iter()
-            .filter(|m| m.cell.effective_backend() == Backend::Sim)
+            .filter(|m| m.cell.backend == Backend::Sim)
             .map(|m| Record {
                 experiment: "determinism".to_string(),
                 metrics: m.metrics(),

@@ -84,8 +84,8 @@ fn dedup_keep_order<T: Clone + Ord>(values: &[T]) -> Vec<T> {
         .collect()
 }
 
-/// The backends axis drawn from a 2-bit mask: `0` is the legacy
-/// axis-omitted grid, the rest are every explicit non-empty subset.
+/// The backends axis drawn from a non-zero 2-bit mask: every non-empty
+/// subset.
 fn backend_subset(mask: u32) -> Vec<Backend> {
     [Backend::Sim, Backend::Threads]
         .into_iter()
@@ -123,7 +123,7 @@ proptest! {
     fn parse_display_round_trips(
         algo_mask in 1u32..(1 << ALGO_POOL.len()),
         adv_mask in 1u32..(1 << ADV_POOL.len()),
-        backend_mask in 0u32..4,
+        backend_mask in 1u32..4,
         raw_shapes in prop::collection::vec((1usize..=64, 1usize..=512), 1..6),
         raw_ds in prop::collection::vec(1u64..=256, 1..6),
         seeds in 1u64..=50,
@@ -134,11 +134,10 @@ proptest! {
         );
         prop_assert!(grid.validate().is_ok(), "constructed grids are valid: {grid}");
         let spec = grid.to_string();
-        // The default (legacy) axis is omitted from the rendering; any
-        // explicit axis — even a sim-only one — is kept explicit.
+        // Exactly the default `sim`-only axis is omitted from the rendering.
         prop_assert_eq!(
             spec.contains("backends="),
-            !grid.backends.is_empty(),
+            grid.backends != [Backend::Sim],
             "backends axis rendering for `{}`", spec
         );
         let reparsed = Grid::parse(&spec);
@@ -209,7 +208,7 @@ proptest! {
     fn duplicate_axis_values_are_rejected(
         algo_mask in 1u32..(1 << ALGO_POOL.len()),
         adv_mask in 1u32..(1 << ADV_POOL.len()),
-        backend_mask in 0u32..4,
+        backend_mask in 1u32..4,
         raw_shapes in prop::collection::vec((1usize..=64, 1usize..=512), 1..5),
         raw_ds in prop::collection::vec(1u64..=256, 1..5),
         axis in 0usize..5,
@@ -239,11 +238,6 @@ proptest! {
                 bad.ds.push(v);
             }
             _ => {
-                // A legacy grid has no backend to duplicate — make the
-                // axis explicit first, then double it.
-                if bad.backends.is_empty() {
-                    bad.backends.push(Backend::Sim);
-                }
                 let v = bad.backends[pick as usize % bad.backends.len()];
                 bad.backends.push(v);
             }

@@ -13,7 +13,7 @@
 //! vendored proptest stub has no recursive strategies, and the failing
 //! integers reproduce the structure exactly.
 
-use doall_bench::grid::{AdversarySpec, Grid};
+use doall_bench::grid::{AdversarySpec, Backend, Grid};
 use doall_bench::scenario::{AggFn, Assertion, Cmp, Expr, Guard, Scenario};
 use proptest::prelude::*;
 
@@ -115,7 +115,7 @@ fn arbitrary_grid(g: &mut Gene) -> Grid {
             .collect(),
         shapes: dedup_keep_order(&shapes),
         ds: dedup_keep_order(&ds),
-        backends: Vec::new(),
+        backends: vec![Backend::Sim],
         seeds: 1 + g.next() % 10,
         base_seed: g.next(),
     }

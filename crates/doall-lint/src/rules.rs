@@ -19,9 +19,10 @@
 //!   `doall-bounds`, `doall-runtime`). The harness (`doall-bench`), the
 //!   CLI facade, and this linter are drivers: an invariant panic there
 //!   surfaces as a process exit, which is the designed failure mode.
-//!   The exception is the harness's input parsers (`compare`, `history`,
-//!   `resultset`, `scenario`, `suite`, `trend`): they read files a user
-//!   writes, which must fail with an error, never a panic.
+//!   The exception is the input parsers — the harness's `compare`,
+//!   `history`, `resultset`, `scenario`, `suite` and `trend`, and the
+//!   facade's `src/cli.rs`: they read files and arguments a user writes,
+//!   which must fail with an error, never a panic.
 //! * Rules apply to `src/` code only — integration tests, benches, and
 //!   examples are not shipped library code (and test regions inside
 //!   `src/` are masked away before rules run).
@@ -48,8 +49,9 @@ const LIB_CRATES: &[&str] = &[
     "doall-sim",
 ];
 
-/// Driver modules that read user files (scenarios, result sets, the
-/// history ledger), held to H001 like a library crate.
+/// Harness and facade modules that read user input (scenarios, result
+/// sets, the history ledger, command lines), held to H001 like a library
+/// crate.
 const H001_PARSERS: &[&str] = &[
     "crates/doall-bench/src/compare.rs",
     "crates/doall-bench/src/history.rs",
@@ -57,6 +59,7 @@ const H001_PARSERS: &[&str] = &[
     "crates/doall-bench/src/scenario.rs",
     "crates/doall-bench/src/suite.rs",
     "crates/doall-bench/src/trend.rs",
+    "src/cli.rs",
 ];
 
 /// The only files allowed to read wall clocks (D002): the measured-only
@@ -510,6 +513,11 @@ mod tests {
             run("crates/doall-bench/src/x.rs", boom).is_empty(),
             "harness is a driver, not a library crate"
         );
+        assert!(
+            run("src/bin/doall.rs", boom).is_empty(),
+            "the rest of the facade is out of scope"
+        );
+        assert_eq!(run("src/cli.rs", boom)[0].rule, RuleId::H001);
         let hits = run("crates/doall-bench/src/scenario.rs", boom);
         assert_eq!(hits[0].rule, RuleId::H001, "…except its input parsers");
         assert!(

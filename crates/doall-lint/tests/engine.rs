@@ -61,9 +61,10 @@ fn every_rule_fires_on_its_fixture_with_exact_anchors() {
             5,
             RuleId::D001,
         ),
+        ("src/cli.rs".to_string(), 4, RuleId::H001),
     ];
     assert_eq!(got, want, "fixture diagnostics drifted");
-    assert_eq!(report.files_scanned, 16);
+    assert_eq!(report.files_scanned, 17);
     assert_eq!(
         report.suppressed, 3,
         "same-line + line-above + D004 drain markers"

@@ -37,8 +37,8 @@ use doall_bench::compare::{
     compare, compare_files, load_result_set, preserve_measured_values, BaselineSet,
 };
 use doall_bench::grid::{
-    build_adversary, build_algorithm, validate_adversary_key, validate_algo_key, AdversarySpec,
-    Grid,
+    build_adversary, build_algorithm, validate_adversary_key, validate_algo_key, validate_shape,
+    AdversarySpec, Backend, Grid,
 };
 use doall_bench::history::{append_entry, load_history, HistoryEntry};
 use doall_bench::resultset::{Record, ResultSet};
@@ -205,17 +205,25 @@ pub struct TrendSpec {
     pub json: bool,
     /// Write the rendered trend here instead of stdout.
     pub out: Option<String>,
-    /// Append this result-set JSON file to the ledger before analyzing.
-    pub append: Option<String>,
-    /// Commit id for `--append` (required with it — the ledger keys
-    /// entries by commit).
-    pub commit: Option<String>,
+    /// `--append RESULTS.json --commit SHA`: add this result set to the
+    /// ledger before analyzing.
+    pub append: Option<LedgerAppend>,
     /// Timestamp for `--append`. Provenance only — the analysis never
     /// reads a clock (lint rule D002), so the caller supplies time.
     pub timestamp: Option<String>,
     /// Harness throughput for `--append` (cells/second, measured by the
     /// caller); omitted renders as `null` and is exempt from gating.
     pub cells_per_sec: Option<f64>,
+}
+
+/// A result set to append to the ledger, with the commit it is keyed by
+/// (the ledger keys entries by commit, so the two flags come together).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LedgerAppend {
+    /// Result-set JSON file.
+    pub results: String,
+    /// Commit id.
+    pub commit: String,
 }
 
 /// Parameters of the `compare` subcommand.
@@ -320,14 +328,13 @@ stagger even; straggler 25% at slowdown 2). Numeric knobs canonicalize
 (crash:07 ≡ crash:7), so one adversary has one cell identity.
 
 BACKENDS (B): sim | threads
-  The optional backends= axis runs every cell once per backend: `sim` is
-  the deterministic tick simulator; `threads` executes the same state
-  machines on real OS threads via doall-runtime (d becomes a random
-  message-delay cap, crash plans become step budgets, stragglers a
-  slower pace). Tagged records carry a \"backend\" field plus the
-  measured-only metrics wall_clock_ms / crashed_drained /
-  max_crashed_backlog (zero under sim). Omitting the axis keeps the
-  legacy sim-only schema byte-for-byte.
+  The optional backends= axis (default sim) runs every cell once per
+  backend: `sim` is the deterministic tick simulator; `threads` executes
+  the same state machines on real OS threads via doall-runtime (d
+  becomes a random message-delay cap, crash plans become step budgets,
+  stragglers a slower pace). Every record carries a \"backend\" field
+  plus the measured-only metrics wall_clock_ms / crashed_drained /
+  max_crashed_backlog (zero under sim).
 
 Sweeps run on the doall-bench harness: work is scheduled as (cell,
 replicate-chunk) shards across a thread pool with per-replicate
@@ -549,7 +556,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                             .map_err(|e| err(format!("{e}; try `doall help`")))?],
                         shapes: vec![(p, t)],
                         ds,
-                        backends: Vec::new(),
+                        backends: vec![Backend::Sim],
                         seeds: 1,
                         base_seed: seed,
                     };
@@ -669,16 +676,15 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     _ => files.push(arg.clone()),
                 }
             }
-            if files.len() != 2 {
-                return Err(err(format!(
+            let [old, new]: [String; 2] = files.try_into().map_err(|files: Vec<String>| {
+                err(format!(
                     "compare takes exactly two files (OLD.json NEW.json), got {}",
                     files.len()
-                )));
-            }
-            let mut files = files.into_iter();
+                ))
+            })?;
             Ok(Command::Compare(CompareSpec {
-                old: files.next().expect("two files"),
-                new: files.next().expect("two files"),
+                old,
+                new,
                 tolerance,
                 json,
                 out,
@@ -729,11 +735,15 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     _ => return Err(err("trend takes at most one ledger file")),
                 }
             }
-            if append.is_some() != commit.is_some() {
-                return Err(err(
-                    "--append and --commit go together (the ledger keys entries by commit)",
-                ));
-            }
+            let append = match (append, commit) {
+                (Some(results), Some(commit)) => Some(LedgerAppend { results, commit }),
+                (None, None) => None,
+                _ => {
+                    return Err(err(
+                        "--append and --commit go together (the ledger keys entries by commit)",
+                    ))
+                }
+            };
             if append.is_none() && (timestamp.is_some() || cells_per_sec.is_some()) {
                 return Err(err(
                     "--timestamp / --cells-per-sec only make sense with --append",
@@ -746,7 +756,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 json,
                 out,
                 append,
-                commit,
                 timestamp,
                 cells_per_sec,
             }))
@@ -861,6 +870,7 @@ impl RunSpec {
         if self.d == 0 {
             return Err(err("-d must be at least 1"));
         }
+        validate_shape(self.p, self.t).map_err(|e| err(e.to_string()))?;
         // Validate keys eagerly (syntax only — building searched-list
         // algorithms like `oblido-searched` here would run the certified
         // search twice per invocation) so errors surface before a long run.
@@ -1080,12 +1090,8 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
         }
         Command::Trend(spec) => {
             let history = match &spec.append {
-                Some(results_path) => {
-                    let commit = spec
-                        .commit
-                        .as_deref()
-                        .expect("the parser pairs --append with --commit");
-                    let results = load_result_set(results_path).map_err(|e| err(e.to_string()))?;
+                Some(LedgerAppend { results, commit }) => {
+                    let results = load_result_set(results).map_err(|e| err(e.to_string()))?;
                     let entry = HistoryEntry::from_result_set(
                         commit,
                         spec.timestamp.as_deref().unwrap_or("unrecorded"),
@@ -1383,7 +1389,7 @@ mod tests {
                     d: 1,
                     seeds: 2,
                     cell_seed: 7,
-                    backend: None,
+                    backend: Backend::Sim,
                 },
                 metrics,
             }],
@@ -1507,7 +1513,6 @@ mod tests {
 
     #[test]
     fn sweep_grid_accepts_the_backends_axis() {
-        use doall_bench::grid::Backend;
         let argv = vec![
             "sweep".to_string(),
             "--grid".to_string(),
@@ -1839,7 +1844,6 @@ mod tests {
                 json: false,
                 out: None,
                 append: None,
-                commit: None,
                 timestamp: None,
                 cells_per_sec: None,
             })
@@ -1869,8 +1873,13 @@ mod tests {
         .unwrap()
         {
             Command::Trend(spec) => {
-                assert_eq!(spec.append.as_deref(), Some("results.json"));
-                assert_eq!(spec.commit.as_deref(), Some("abc123"));
+                assert_eq!(
+                    spec.append,
+                    Some(LedgerAppend {
+                        results: "results.json".to_string(),
+                        commit: "abc123".to_string(),
+                    })
+                );
                 assert_eq!(spec.timestamp.as_deref(), Some("2026-08-08T00:00:00Z"));
                 assert_eq!(spec.cells_per_sec, Some(800.0));
             }
