@@ -26,7 +26,7 @@ use crate::Algorithm;
 use doall_core::{
     DoAllProcess, DoneSet, Instance, JobCursor, JobId, JobMap, Message, ProcId, StepOutcome,
 };
-use doall_perms::{Permutation, Schedules};
+use doall_perms::Schedules;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -44,9 +44,12 @@ fn per_proc_seed(seed: u64, pid: usize) -> u64 {
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)] // StdRng is big but Selector lives once per processor
 enum Selector {
-    /// Follow a fixed permutation of the jobs (PaRan1 and PaDet).
+    /// Follow row `row` of a schedule list shared by every processor of
+    /// the run (PaRan1, PaGossip and PaDet). The list is never copied
+    /// per processor: each holds an `Arc` of the one list and its row.
     Schedule {
-        order: Arc<Permutation>,
+        schedules: Arc<Schedules>,
+        row: usize,
         position: usize,
     },
     /// Pick uniformly at random among jobs not known complete (PaRan2).
@@ -111,6 +114,19 @@ impl PaProcess {
         }
     }
 
+    /// One process per processor of `instance`, processor `pid`
+    /// following row `pid mod |Σ|` of the shared list `schedules`.
+    fn following(instance: Instance, schedules: Arc<Schedules>) -> impl Iterator<Item = Self> {
+        (0..instance.processors()).map(move |pid| {
+            let selector = Selector::Schedule {
+                schedules: Arc::clone(&schedules),
+                row: pid % schedules.len(),
+                position: 0,
+            };
+            Self::new(pid, instance, selector)
+        })
+    }
+
     fn with_gossip(mut self, fanout: usize, processors: usize, seed: u64) -> Self {
         self.gossip = Some(Gossip {
             fanout,
@@ -130,7 +146,12 @@ impl PaProcess {
     /// list is exhausted.
     fn select(&mut self) -> Option<JobId> {
         match &mut self.selector {
-            Selector::Schedule { order, position } => {
+            Selector::Schedule {
+                schedules,
+                row,
+                position,
+            } => {
+                let order = schedules.get(*row);
                 let n = self.job_map.job_count();
                 while *position < n {
                     let job = order.apply(*position);
@@ -221,23 +242,22 @@ impl PaRan1 {
     }
 }
 
+/// The local schedules of PaRan1 and PaGossip: processor `pid` draws its
+/// row from its own RNG, seeded with `per_proc_seed(seed, pid)`, and the
+/// p rows form one list that every process shares.
+fn local_schedules(instance: Instance, seed: u64) -> Arc<Schedules> {
+    let seeds = (0..instance.processors()).map(|pid| per_proc_seed(seed, pid));
+    Arc::new(Schedules::random_per_seed(instance.units(), seeds))
+}
+
 impl Algorithm for PaRan1 {
     fn name(&self) -> String {
         "PaRan1".to_string()
     }
 
     fn spawn(&self, instance: Instance) -> Vec<Box<dyn DoAllProcess>> {
-        let n = instance.units();
-        (0..instance.processors())
-            .map(|pid| {
-                let mut rng = StdRng::seed_from_u64(per_proc_seed(self.seed, pid));
-                let order = Arc::new(Permutation::random(n, &mut rng));
-                Box::new(PaProcess::new(
-                    pid,
-                    instance,
-                    Selector::Schedule { order, position: 0 },
-                )) as Box<dyn DoAllProcess>
-            })
+        PaProcess::following(instance, local_schedules(instance, self.seed))
+            .map(|proc_| Box::new(proc_) as Box<dyn DoAllProcess>)
             .collect()
     }
 }
@@ -283,6 +303,9 @@ impl Algorithm for PaRan2 {
 /// deterministically. Construct such lists with
 /// [`Schedules::random`] (Theorem 4.4 makes random lists good with
 /// overwhelming probability) or pass a hand-built list.
+///
+/// The factory owns `Σ` behind an `Arc`; spawned processes share it and
+/// keep only their row index, so spawning copies no schedule.
 #[derive(Debug, Clone)]
 pub struct PaDet {
     schedules: Arc<Schedules>,
@@ -360,16 +383,12 @@ impl Algorithm for PaGossip {
     }
 
     fn spawn(&self, instance: Instance) -> Vec<Box<dyn DoAllProcess>> {
-        let n = instance.units();
         let p = instance.processors();
-        (0..p)
-            .map(|pid| {
-                let mut rng = StdRng::seed_from_u64(per_proc_seed(self.seed, pid));
-                let order = Arc::new(Permutation::random(n, &mut rng));
-                Box::new(
-                    PaProcess::new(pid, instance, Selector::Schedule { order, position: 0 })
-                        .with_gossip(self.fanout, p, per_proc_seed(self.seed ^ 0xA5A5_A5A5, pid)),
-                ) as Box<dyn DoAllProcess>
+        PaProcess::following(instance, local_schedules(instance, self.seed))
+            .enumerate()
+            .map(|(pid, proc_)| {
+                let seed = per_proc_seed(self.seed ^ 0xA5A5_A5A5, pid);
+                Box::new(proc_.with_gossip(self.fanout, p, seed)) as Box<dyn DoAllProcess>
             })
             .collect()
     }
@@ -388,15 +407,8 @@ impl Algorithm for PaDet {
             self.schedules.n(),
             instance.units()
         );
-        (0..instance.processors())
-            .map(|pid| {
-                let order = Arc::new(self.schedules.get(pid % self.schedules.len()).clone());
-                Box::new(PaProcess::new(
-                    pid,
-                    instance,
-                    Selector::Schedule { order, position: 0 },
-                )) as Box<dyn DoAllProcess>
-            })
+        PaProcess::following(instance, Arc::clone(&self.schedules))
+            .map(|proc_| Box::new(proc_) as Box<dyn DoAllProcess>)
             .collect()
     }
 }
@@ -404,6 +416,7 @@ impl Algorithm for PaDet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use doall_perms::Permutation;
 
     fn run_solo(mut proc_: Box<dyn DoAllProcess>, limit: u64) -> Vec<usize> {
         let mut performed = Vec::new();
@@ -590,6 +603,46 @@ mod tests {
     #[should_panic(expected = "fanout must be at least 1")]
     fn pagossip_zero_fanout_rejected() {
         let _ = PaGossip::new(0, 0);
+    }
+
+    #[test]
+    fn padet_processes_share_the_factory_list() {
+        for (p, t) in [(1, 1), (4, 4), (6, 3), (3, 10)] {
+            let inst = Instance::new(p, t).unwrap();
+            let algo = PaDet::random_for(inst, 11);
+            let procs = algo.spawn(inst);
+            // Only clones of the factory's `Arc` can raise its count.
+            assert_eq!(Arc::strong_count(&algo.schedules), 1 + p, "p={p} t={t}");
+            drop(procs);
+            assert_eq!(Arc::strong_count(&algo.schedules), 1);
+        }
+    }
+
+    #[test]
+    fn local_schedules_are_each_processors_own_random_order() {
+        // t ≤ p, so every job is one task and a solo processor performs
+        // exactly its schedule, in order.
+        for (p, t, seed) in [
+            (1, 1, 0),
+            (4, 4, 5),
+            (8, 8, 9),
+            (5, 3, 42),
+            (6, 2, u64::MAX),
+        ] {
+            let inst = Instance::new(p, t).unwrap();
+            for algo in [
+                Box::new(PaRan1::new(seed)) as Box<dyn Algorithm>,
+                Box::new(PaGossip::new(seed, 2)),
+            ] {
+                for (pid, proc_) in algo.spawn(inst).into_iter().enumerate() {
+                    let mut rng = StdRng::seed_from_u64(per_proc_seed(seed, pid));
+                    let order = Permutation::random(t, &mut rng);
+                    let performed = run_solo(proc_, 1000);
+                    let expected: Vec<usize> = (0..t).map(|i| order.apply(i)).collect();
+                    assert_eq!(performed, expected, "{} p={p} t={t} pid={pid}", algo.name());
+                }
+            }
+        }
     }
 
     #[test]

@@ -565,6 +565,15 @@ impl Grid {
         unique_axis(&self.backends, "backends")?;
         for &(p, t) in &self.shapes {
             validate_shape(p, t)?;
+            for key in &self.algos {
+                validate_setup(key, p, t)?;
+            }
+            if p > MAX_THREADS_P && self.backends.contains(&Backend::Threads) {
+                return Err(err(format!(
+                    "shape `{p}x{t}`: the threads backend runs one OS thread per \
+                     processor, and p exceeds its cap of {MAX_THREADS_P}"
+                )));
+            }
         }
         Ok(())
     }
@@ -654,6 +663,49 @@ pub const MAX_P: usize = 1 << 20;
 /// view of the done tasks, so this caps those views at 512 MiB — the
 /// p = t = 65536 scale cell.
 pub const MAX_PT: u128 = 1 << 32;
+
+/// Largest schedule list, in bytes, an algorithm may build for one cell:
+/// 1 GiB of `u32` list entries, twice the [`MAX_PT`] views.
+pub const MAX_SETUP_BYTES: u128 = 1 << 30;
+
+/// Largest processor count a `threads`-backend cell may have: the
+/// runtime starts one OS thread per processor.
+pub const MAX_THREADS_P: usize = 4096;
+
+/// Bytes of schedule list the algorithm `key` builds for a `p × t` cell,
+/// at one `u32` per list entry; `0` for keys without a list (DA's
+/// `q × q` lists are negligible). Lists are shared by every processor,
+/// so this is the whole set-up cost.
+fn setup_bytes(key: &str, p: usize, t: usize) -> u128 {
+    let (p, t) = (p as u128, t as u128);
+    let n = p.min(t);
+    let entries = match key {
+        "padet" | "paran1" => p * n,
+        "padet-rot" | "padet-affine" => p * t,
+        "oblido" | "oblido-searched" | "oblido-worst" => n * n,
+        _ if key.starts_with("gossip:") => p * n,
+        _ => 0,
+    };
+    entries * 4
+}
+
+/// Rejects an algorithm whose schedule list for a `p × t` cell would
+/// exceed [`MAX_SETUP_BYTES`], so it fails with an error naming the
+/// algorithm and shape instead of aborting mid-allocation.
+///
+/// # Errors
+///
+/// Returns a [`GridError`] naming the algorithm, the shape and the cap.
+pub fn validate_setup(key: &str, p: usize, t: usize) -> Result<(), GridError> {
+    let bytes = setup_bytes(key, p, t);
+    if bytes > MAX_SETUP_BYTES {
+        return Err(err(format!(
+            "algorithm `{key}` at shape `{p}x{t}`: its schedule list needs {bytes} bytes, \
+             over the set-up cap of {MAX_SETUP_BYTES}"
+        )));
+    }
+    Ok(())
+}
 
 /// Rejects a shape whose per-processor state could not be allocated, so
 /// it fails with an error instead of aborting the process mid-run.
@@ -972,6 +1024,47 @@ mod tests {
             let e = validate_shape(p, t).unwrap_err().to_string();
             assert!(e.contains(&format!("`{p}x{t}`")), "{e}");
         }
+    }
+
+    #[test]
+    fn schedule_lists_past_the_set_up_cap_are_rejected() {
+        // The benchmark's p = t = 4096 lists (64 MiB) and the CI scale
+        // cell's DA list stay well inside the cap.
+        for key in ["padet", "paran1", "gossip:2", "padet-rot"] {
+            assert!(validate_setup(key, 4096, 4096).is_ok(), "{key}");
+        }
+        assert!(validate_setup("da:3", 65536, 65536).is_ok());
+        assert!(validate_setup("paran2", MAX_P, 4096).is_ok(), "no list");
+        // p·n = 2²⁸ entries is exactly the cap; one more processor is over.
+        assert!(validate_setup("padet", 1 << 16, 1 << 12).is_ok());
+        for (key, p, t) in [
+            ("padet", (1 << 16) + 1, 1 << 12),
+            ("paran1", MAX_P, 4096),
+            ("gossip:3", MAX_P, 4096),
+            ("padet-rot", 2, 1 << 28),
+            ("oblido", 1 << 15, 1 << 15),
+        ] {
+            let e = validate_setup(key, p, t).unwrap_err().to_string();
+            assert!(e.contains(&format!("`{key}` at shape `{p}x{t}`")), "{e}");
+        }
+        let grid = Grid::parse("algos=da:3,padet advs=unit shapes=8x8,1048576x4096").unwrap_err();
+        assert!(
+            grid.to_string().contains("`padet` at shape `1048576x4096`"),
+            "{grid}"
+        );
+    }
+
+    #[test]
+    fn threads_backend_caps_the_processor_count() {
+        let at_cap = format!("algos=paran1 backends=threads shapes={MAX_THREADS_P}x1");
+        assert!(Grid::parse(&at_cap).is_ok());
+        let over = format!("algos=paran1 shapes={}x1", MAX_THREADS_P + 1);
+        assert!(
+            Grid::parse(&over).is_ok(),
+            "the sim backend has no thread cap"
+        );
+        let e = Grid::parse(&format!("{over} backends=sim,threads")).unwrap_err();
+        assert!(e.to_string().contains("threads backend"), "{e}");
     }
 
     #[test]

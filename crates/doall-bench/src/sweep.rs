@@ -128,6 +128,14 @@ pub enum SweepError {
         /// The offending cell, rendered for the error message.
         cell: String,
     },
+    /// The threads backend could not run a replicate — the operating
+    /// system refused a worker or router thread.
+    Threads {
+        /// The offending cell, rendered for the error message.
+        cell: String,
+        /// The runtime's error, rendered.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SweepError {
@@ -149,6 +157,9 @@ impl fmt::Display for SweepError {
                 "execution traces are sim-only, but cell {cell} runs on the threads \
                  backend; drop --trace or the threads backend"
             ),
+            SweepError::Threads { cell, reason } => {
+                write!(f, "threads backend failed (cell {cell}): {reason}")
+            }
         }
     }
 }
@@ -342,8 +353,9 @@ pub fn run_cells_with_stats(
     // failure is a deterministic pre-spawn error rather than a worker
     // race. Other keys are infallible post-validation, and an
     // unconditional eager build would pay their set-up twice: `padet`
-    // draws p random schedules of [t], which is about 27% of perfbench's
-    // `broadcast_scale` pass (p = t = 4096).
+    // draws p random schedules of [t]: at p = t = 4096 about 0.09 s per
+    // replicate, 23% of a traced perfbench `broadcast_scale` pass on a
+    // 2-core container.
     for cell in cells {
         crate::grid::validate_algo_key(&cell.algo)?;
         // Adversaries are structured specs — valid by construction.
@@ -517,7 +529,10 @@ fn run_shard(
             let outcome = Runtime::builder(config)
                 .pace_overrides(pace_overrides.clone())
                 .run(instance, algo.spawn(instance))
-                .expect("cell-derived runtime setup is valid");
+                .map_err(|e| SweepError::Threads {
+                    cell: cell_label(cell),
+                    reason: e.to_string(),
+                })?;
             (outcome.report, Some(outcome.stats))
         } else {
             // Reuse the worker's buffer only when its capacity covers

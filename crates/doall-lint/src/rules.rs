@@ -227,6 +227,10 @@ const H001_TOKENS: &[(&str, &str)] = &[
     ("unreachable!", "explicit `unreachable!`"),
     ("todo!", "placeholder `todo!`"),
     ("unimplemented!", "placeholder `unimplemented!`"),
+    (
+        "thread::spawn",
+        "`thread::spawn`, which panics when the OS refuses a thread (use `thread::Builder`)",
+    ),
 ];
 
 /// Does `needle` occur in `line` with identifier boundaries?
@@ -518,6 +522,15 @@ mod tests {
             "the rest of the facade is out of scope"
         );
         assert_eq!(run("src/cli.rs", boom)[0].rule, RuleId::H001);
+        let spawn = "let h = std::thread::spawn(work);\n";
+        let hits = run("crates/doall-runtime/src/x.rs", spawn);
+        assert!(
+            hits[0].message.contains("thread::Builder"),
+            "{}",
+            hits[0].message
+        );
+        let built = "let h = std::thread::Builder::new().spawn(work)?;\n";
+        assert!(run("crates/doall-runtime/src/x.rs", built).is_empty());
         let hits = run("crates/doall-bench/src/scenario.rs", boom);
         assert_eq!(hits[0].rule, RuleId::H001, "…except its input parsers");
         assert!(

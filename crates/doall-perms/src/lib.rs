@@ -39,6 +39,7 @@ mod harmonic;
 mod lrm;
 mod permutation;
 pub mod search;
+mod shuffle;
 pub mod structured;
 
 pub use contention::{

@@ -99,6 +99,13 @@ impl Permutation {
         Self { image }
     }
 
+    /// Wraps an image vector a shuffle of `0..n` produced, which is a
+    /// bijection by construction.
+    pub(crate) fn from_shuffled(image: Vec<u32>) -> Self {
+        debug_assert!(Self::from_image(image.clone()).is_ok());
+        Self { image }
+    }
+
     /// The size `n` of the underlying set.
     #[must_use]
     pub fn n(&self) -> usize {

@@ -23,6 +23,7 @@
 use crate::contention::{contention_exact, contention_of_list, ContentionEstimate};
 use crate::dcontention::d_contention_of_list;
 use crate::harmonic;
+use crate::shuffle::ShuffleTable;
 use crate::{PermError, Permutation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,12 +75,31 @@ impl Schedules {
     #[must_use]
     pub fn random(count: usize, n: usize, seed: u64) -> Self {
         assert!(count > 0, "need at least one schedule");
+        let table = ShuffleTable::new(n);
         let mut rng = StdRng::seed_from_u64(seed);
         Self {
-            perms: (0..count)
-                .map(|_| Permutation::random(n, &mut rng))
-                .collect(),
+            perms: (0..count).map(|_| table.permutation(&mut rng)).collect(),
         }
+    }
+
+    /// One uniformly random permutation of `[n]` per seed, row `u` drawn
+    /// from its own generator seeded with the `u`-th seed — the
+    /// construction of randomized algorithms whose processors each draw a
+    /// local schedule from a private RNG (PaRan1, PaGossip). Row `u`
+    /// equals `Permutation::random(n, &mut StdRng::seed_from_u64(seed_u))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seeds` is empty or `n == 0`.
+    #[must_use]
+    pub fn random_per_seed(n: usize, seeds: impl IntoIterator<Item = u64>) -> Self {
+        let table = ShuffleTable::new(n);
+        let perms: Vec<Permutation> = seeds
+            .into_iter()
+            .map(|seed| table.permutation(&mut StdRng::seed_from_u64(seed)))
+            .collect();
+        assert!(!perms.is_empty(), "need at least one schedule");
+        Self { perms }
     }
 
     /// `count` copies of the identity — the *worst possible* list
@@ -383,6 +403,24 @@ mod tests {
         assert_eq!(a, b);
         let c = Schedules::random(4, 10, 100);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn random_lists_are_the_oracle_shuffles() {
+        for (count, n, seed) in [(1, 1, 0), (5, 2, 1), (7, 33, 2), (3, 300, u64::MAX)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let oracle: Vec<Permutation> = (0..count)
+                .map(|_| Permutation::random(n, &mut rng))
+                .collect();
+            assert_eq!(Schedules::random(count, n, seed).as_slice(), oracle);
+
+            let seeds = (0..count as u64).map(|k| seed ^ k.wrapping_mul(0x9E37));
+            let per_seed: Vec<Permutation> = seeds
+                .clone()
+                .map(|s| Permutation::random(n, &mut StdRng::seed_from_u64(s)))
+                .collect();
+            assert_eq!(Schedules::random_per_seed(n, seeds).as_slice(), per_seed);
+        }
     }
 
     #[test]

@@ -40,6 +40,10 @@ pub enum RuntimeError {
         /// Override entries supplied.
         got: usize,
     },
+    /// The operating system refused to start a worker or router thread
+    /// (thread or memory limit). The threads already started are stopped
+    /// and joined before this is returned.
+    Spawn(String),
 }
 
 impl fmt::Display for RuntimeError {
@@ -66,6 +70,7 @@ impl fmt::Display for RuntimeError {
                 f,
                 "pace override list must cover every processor (instance has {expected}, got {got})"
             ),
+            Self::Spawn(reason) => write!(f, "could not start a thread: {reason}"),
         }
     }
 }

@@ -157,8 +157,12 @@ impl Runtime {
     }
 
     /// Executes the validated run to completion (or timeout).
-    #[must_use]
-    pub fn run(self) -> RunOutcome {
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Spawn`] if the operating system refuses a worker
+    /// or router thread; the threads already started are stopped first.
+    pub fn run(self) -> Result<RunOutcome, RuntimeError> {
         let (report, stats) = scheduler::execute(
             self.instance,
             self.procs,
@@ -166,8 +170,8 @@ impl Runtime {
             &self.body,
             &self.schedule,
             &self.pace_overrides,
-        );
-        RunOutcome { report, stats }
+        )?;
+        Ok(RunOutcome { report, stats })
     }
 }
 
@@ -279,13 +283,13 @@ impl RuntimeBuilder {
     ///
     /// # Errors
     ///
-    /// Same as [`Self::build`].
+    /// Same as [`Self::build`] and [`Runtime::run`].
     pub fn run(
         self,
         instance: Instance,
         procs: Vec<Box<dyn DoAllProcess>>,
     ) -> Result<RunOutcome, RuntimeError> {
-        Ok(self.build(instance, procs)?.run())
+        self.build(instance, procs)?.run()
     }
 }
 

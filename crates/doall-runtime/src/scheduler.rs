@@ -6,18 +6,23 @@
 //! builder (one state machine per processor, a legal crash schedule), so
 //! it contains no policy — only mechanism.
 
-use crate::fault::{CrashSchedule, RuntimeStats};
+use crate::fault::{CrashSchedule, RuntimeError, RuntimeStats};
 use crate::transport::{ChannelTransport, Outgoing};
 use crate::{RuntimeConfig, TaskBody};
 use doall_core::{BitSet, DoAllProcess, Instance, Message, ProcId, RunReport};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::Builder;
 use std::time::{Duration, Instant};
 
 /// Runs `procs` on OS threads until some processor knows all tasks are
 /// done, the crash schedule stops everyone who could finish, or the
 /// timeout fires. Inputs are assumed validated.
+///
+/// If the operating system refuses a thread, the run is abandoned: the
+/// completion flag stops the workers already started, they and the
+/// router are joined, and [`RuntimeError::Spawn`] is returned.
 pub(crate) fn execute(
     instance: Instance,
     procs: Vec<Box<dyn DoAllProcess>>,
@@ -25,7 +30,7 @@ pub(crate) fn execute(
     body: &Arc<TaskBody>,
     schedule: &CrashSchedule,
     pace_overrides: &[Option<Duration>],
-) -> (RunReport, RuntimeStats) {
+) -> Result<(RunReport, RuntimeStats), RuntimeError> {
     let p = instance.processors();
     let t = instance.tasks();
 
@@ -35,13 +40,14 @@ pub(crate) fn execute(
     let ground_truth = Arc::new(Mutex::new(BitSet::new(t)));
 
     let mut transport =
-        ChannelTransport::start(p, config.max_delay, config.seed, Arc::clone(&done));
+        ChannelTransport::start(p, config.max_delay, config.seed, Arc::clone(&done))
+            .map_err(|e| RuntimeError::Spawn(e.to_string()))?;
 
     // Worker threads.
     let mut workers = Vec::with_capacity(p);
     for (pid, mut proc_) in procs.into_iter().enumerate() {
         let rx = transport.take_inbox(pid);
-        let done = Arc::clone(&done);
+        let stop = Arc::clone(&done);
         let truth = Arc::clone(&ground_truth);
         let to_router = transport.outgoing();
         let budget = schedule.budget(pid);
@@ -51,13 +57,13 @@ pub(crate) fn execute(
             .flatten()
             .unwrap_or(config.step_interval);
         let body = Arc::clone(body);
-        workers.push(std::thread::spawn(move || {
+        let spawned = Builder::new().spawn(move || {
             let mut steps: u64 = 0;
             let mut sent: u64 = 0;
             let mut drained: u64 = 0;
             let mut max_backlog: u64 = 0;
             let mut inbox: Vec<Message> = Vec::new();
-            while !done.load(Ordering::Acquire) && Instant::now() < deadline {
+            while !stop.load(Ordering::Acquire) && Instant::now() < deadline {
                 if budget.is_some_and(|b| steps >= b) {
                     // Crashed: stop stepping, but drain-and-drop the inbox
                     // each wake — the router keeps sending into this
@@ -103,7 +109,7 @@ pub(crate) fn execute(
                     }
                 }
                 if proc_.knows_all_done() {
-                    done.store(true, Ordering::Release);
+                    stop.store(true, Ordering::Release);
                     break;
                 }
                 if !pace.is_zero() {
@@ -111,7 +117,18 @@ pub(crate) fn execute(
                 }
             }
             (steps, sent, drained, max_backlog)
-        }));
+        });
+        match spawned {
+            Ok(worker) => workers.push(worker),
+            Err(e) => {
+                done.store(true, Ordering::Release);
+                for w in workers {
+                    let _ = w.join();
+                }
+                transport.shutdown();
+                return Err(RuntimeError::Spawn(e.to_string()));
+            }
+        }
     }
 
     let mut work = 0u64;
@@ -139,5 +156,5 @@ pub(crate) fn execute(
         completed: informed && all_done,
         work_per_processor: per_proc,
     };
-    (report, stats)
+    Ok((report, stats))
 }

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{Builder, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Routed envelope: a broadcast fanned out into point-to-point messages.
@@ -65,8 +65,17 @@ impl ChannelTransport {
     /// Starts the router thread for `p` processors. `done` is the run's
     /// completion flag: once it is set the router flushes its backlog
     /// immediately (so laggards can still learn completion) and exits.
-    #[must_use]
-    pub fn start(p: usize, max_delay: Duration, seed: u64, done: Arc<AtomicBool>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns the operating system's error if the router thread cannot
+    /// be started.
+    pub fn start(
+        p: usize,
+        max_delay: Duration,
+        seed: u64,
+        done: Arc<AtomicBool>,
+    ) -> std::io::Result<Self> {
         let (to_router, router_rx) = unbounded::<Outgoing>();
         let mut inbox_tx: Vec<Sender<Message>> = Vec::with_capacity(p);
         let mut inboxes: Vec<Option<Receiver<Message>>> = Vec::with_capacity(p);
@@ -75,7 +84,7 @@ impl ChannelTransport {
             inbox_tx.push(tx);
             inboxes.push(Some(rx));
         }
-        let router = std::thread::spawn(move || {
+        let router = Builder::new().spawn(move || {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut held: BinaryHeap<Held> = BinaryHeap::new();
             loop {
@@ -120,12 +129,12 @@ impl ChannelTransport {
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-        });
-        Self {
+        })?;
+        Ok(Self {
             outgoing: to_router,
             inboxes,
             router,
-        }
+        })
     }
 
     /// A sender for outgoing envelopes; clone one per worker.

@@ -37,8 +37,8 @@ use doall_bench::compare::{
     compare, compare_files, load_result_set, preserve_measured_values, BaselineSet,
 };
 use doall_bench::grid::{
-    build_adversary, build_algorithm, validate_adversary_key, validate_algo_key, validate_shape,
-    AdversarySpec, Backend, Grid,
+    build_adversary, build_algorithm, validate_adversary_key, validate_algo_key, validate_setup,
+    validate_shape, AdversarySpec, Backend, Grid,
 };
 use doall_bench::history::{append_entry, load_history, HistoryEntry};
 use doall_bench::resultset::{Record, ResultSet};
@@ -875,6 +875,7 @@ impl RunSpec {
         // algorithms like `oblido-searched` here would run the certified
         // search twice per invocation) so errors surface before a long run.
         validate_algo_key(&self.algo).map_err(|e| err(format!("{e}; try `doall help`")))?;
+        validate_setup(&self.algo, self.p, self.t).map_err(|e| err(e.to_string()))?;
         validate_adversary_key(&self.adversary)
             .map_err(|e| err(format!("{e}; try `doall help`")))?;
         Ok(())
