@@ -56,9 +56,8 @@ pub const MEASURED_ONLY_METRICS: &[&str] =
 const MEASURED_BACKEND: &str = "threads";
 
 /// `true` when `metric` of a cell keyed `key` is exempt from drift
-/// classification. Trend analysis applies the same exemption so its
-/// output stays byte-identical across `--threads` too.
-pub(crate) fn metric_exempt(key: &CellKey, metric: &str) -> bool {
+/// classification.
+fn metric_exempt(key: &CellKey, metric: &str) -> bool {
     key.backend == MEASURED_BACKEND || MEASURED_ONLY_METRICS.contains(&metric)
 }
 
@@ -199,8 +198,7 @@ pub struct Comparison {
 /// `|new − old| > tolerance · max(1, |old|, |new|)` — so `tolerance = 0`
 /// demands exact equality, and a non-zero tolerance is relative with an
 /// absolute floor for near-zero values.
-#[must_use]
-pub fn drifted(old: Option<f64>, new: Option<f64>, tolerance: f64) -> bool {
+fn drifted(old: Option<f64>, new: Option<f64>, tolerance: f64) -> bool {
     match (old, new) {
         (None, None) => false,
         (None, Some(_)) | (Some(_), None) => true,

@@ -400,8 +400,9 @@ mod tests {
 
     #[test]
     fn schedule_keys_are_exactly_the_keys_that_carry_schedules() {
-        // t = 5 is prime, so padet-affine has its list too.
-        let instance = Instance::new(4, 5).unwrap();
+        // The min(p, t) = 5 units are prime, so padet-affine has its
+        // list too.
+        let instance = Instance::new(5, 5).unwrap();
         for key in [
             "soloall",
             "oblido",

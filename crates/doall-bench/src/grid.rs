@@ -674,14 +674,14 @@ pub const MAX_THREADS_P: usize = 4096;
 
 /// Bytes of schedule list the algorithm `key` builds for a `p × t` cell,
 /// at one `u32` per list entry; `0` for keys without a list (DA's
-/// `q × q` lists are negligible). Lists are shared by every processor,
-/// so this is the whole set-up cost.
+/// `q × q` lists are negligible). Every list is over the `min(p, t)`
+/// units and shared by every processor, so this is the whole set-up
+/// cost.
 fn setup_bytes(key: &str, p: usize, t: usize) -> u128 {
     let (p, t) = (p as u128, t as u128);
     let n = p.min(t);
     let entries = match key {
-        "padet" | "paran1" => p * n,
-        "padet-rot" | "padet-affine" => p * t,
+        "padet" | "padet-rot" | "padet-affine" | "paran1" => p * n,
         "oblido" | "oblido-searched" | "oblido-worst" => n * n,
         _ if key.starts_with("gossip:") => p * n,
         _ => 0,
@@ -734,28 +734,38 @@ pub fn validate_shape(p: usize, t: usize) -> Result<(), GridError> {
 /// Returns a [`GridError`] for an unknown key or bad parameter.
 pub fn validate_algo_key(key: &str) -> Result<(), GridError> {
     if let Some(q) = key.strip_prefix("da:") {
-        let q: usize = q
-            .parse()
-            .map_err(|_| err(format!("da:<q>: `{q}` is not a number")))?;
-        if !(2..=8).contains(&q) {
-            return Err(err("da:<q> supports 2 ≤ q ≤ 8 (certified schedule search)"));
-        }
-        return Ok(());
+        return da_q(q).map(|_| ());
     }
     if let Some(fanout) = key.strip_prefix("gossip:") {
-        let fanout: usize = fanout
-            .parse()
-            .map_err(|_| err(format!("gossip:<fanout>: `{fanout}` is not a number")))?;
-        if fanout == 0 {
-            return Err(err("gossip fanout must be at least 1"));
-        }
-        return Ok(());
+        return gossip_fanout(fanout).map(|_| ());
     }
     match key {
         "soloall" | "oblido" | "oblido-searched" | "oblido-worst" | "paran1" | "paran2"
         | "padet" | "padet-rot" | "padet-affine" | ALGO_NONE => Ok(()),
         other => Err(err(format!("unknown algorithm `{other}`"))),
     }
+}
+
+/// Parses the `q` of `da:<q>`.
+fn da_q(q: &str) -> Result<usize, GridError> {
+    let q: usize = q
+        .parse()
+        .map_err(|_| err(format!("da:<q>: `{q}` is not a number")))?;
+    if !(2..=8).contains(&q) {
+        return Err(err("da:<q> supports 2 ≤ q ≤ 8 (certified schedule search)"));
+    }
+    Ok(q)
+}
+
+/// Parses the fanout of `gossip:<fanout>`.
+fn gossip_fanout(fanout: &str) -> Result<usize, GridError> {
+    let fanout: usize = fanout
+        .parse()
+        .map_err(|_| err(format!("gossip:<fanout>: `{fanout}` is not a number")))?;
+    if fanout == 0 {
+        return Err(err("gossip fanout must be at least 1"));
+    }
+    Ok(fanout)
 }
 
 /// Validates a textual adversary key without building it — a thin
@@ -771,7 +781,9 @@ pub fn validate_adversary_key(key: &str) -> Result<(), GridError> {
 
 /// Builds the schedule list an algorithm key implies, when it has one —
 /// used by experiments whose derived metrics (contention, `(d)`-Cont)
-/// refer to the very list the algorithm ran with.
+/// refer to the very list the algorithm ran with. Every list is over the
+/// instance's `min(p, t)` units, the jobs the algorithm runs over;
+/// `padet-affine` has none unless that count is prime.
 #[must_use]
 pub fn schedules_for_algo(key: &str, instance: Instance, seed: u64) -> Option<Schedules> {
     let n = instance.units();
@@ -780,8 +792,8 @@ pub fn schedules_for_algo(key: &str, instance: Instance, seed: u64) -> Option<Sc
         "oblido-searched" => Some(search::low_contention_list(n, seed).0),
         "oblido-worst" => Some(Schedules::worst(n, n)),
         "padet" => Some(PaDet::random_for(instance, seed).schedules().clone()),
-        "padet-rot" => Some(rotation_schedules(instance.processors(), instance.tasks())),
-        "padet-affine" => affine_schedules(instance.processors(), instance.tasks(), seed).ok(),
+        "padet-rot" => Some(rotation_schedules(instance.processors(), n)),
+        "padet-affine" => affine_schedules(instance.processors(), n, seed).ok(),
         _ => None,
     }
 }
@@ -792,45 +804,45 @@ pub fn schedules_for_algo(key: &str, instance: Instance, seed: u64) -> Option<Sc
 /// Keys: `soloall`, `oblido` (random list), `oblido-searched` (certified
 /// low-contention list), `oblido-worst` (identical permutations),
 /// `da:<q>`, `paran1`, `paran2`, `padet` (random list), `padet-rot`
-/// (rotations), `padet-affine` (affine maps; requires prime `t`),
-/// `gossip:<fanout>`, and `none` (skip simulation).
+/// (rotations), `padet-affine` (affine maps; requires a prime unit
+/// count `min(p, t)`), `gossip:<fanout>`, and `none` (skip simulation).
 ///
 /// # Errors
 ///
 /// Returns a [`GridError`] for an unknown key, a bad parameter, or a key
 /// whose preconditions the instance does not meet (e.g. `padet-affine`
-/// over a composite task count).
+/// over a composite unit count).
 pub fn build_algorithm(
     key: &str,
     instance: Instance,
     seed: u64,
 ) -> Result<Box<dyn Algorithm>, GridError> {
-    validate_algo_key(key)?;
     if let Some(q) = key.strip_prefix("da:") {
-        let q: usize = q.parse().expect("validated");
-        return Ok(Box::new(Da::with_default_schedules(q, seed)));
+        return Ok(Box::new(Da::with_default_schedules(da_q(q)?, seed)));
     }
     if let Some(fanout) = key.strip_prefix("gossip:") {
-        let fanout: usize = fanout.parse().expect("validated");
-        return Ok(Box::new(PaGossip::new(seed, fanout)));
+        return Ok(Box::new(PaGossip::new(seed, gossip_fanout(fanout)?)));
     }
+    // Only `padet-affine`'s list can be missing: a composite unit count.
+    let list = || {
+        schedules_for_algo(key, instance, seed).ok_or_else(|| {
+            err(format!(
+                "algorithm `{key}` at shape `{}x{}`: needs a prime unit count min(p, t), got {}",
+                instance.processors(),
+                instance.tasks(),
+                instance.units()
+            ))
+        })
+    };
     Ok(match key {
         "soloall" => Box::new(SoloAll::new()),
-        "oblido" | "oblido-searched" | "oblido-worst" => Box::new(ObliDo::new(
-            schedules_for_algo(key, instance, seed).expect("oblido keys carry schedules"),
-        )),
+        "oblido" | "oblido-searched" | "oblido-worst" => Box::new(ObliDo::new(list()?)),
         "paran1" => Box::new(PaRan1::new(seed)),
         "paran2" => Box::new(PaRan2::new(seed)),
         "padet" => Box::new(PaDet::random_for(instance, seed)),
-        "padet-rot" => Box::new(PaDet::new(
-            schedules_for_algo(key, instance, seed).expect("rotations always exist"),
-        )),
-        "padet-affine" => Box::new(PaDet::new(
-            schedules_for_algo(key, instance, seed)
-                .ok_or_else(|| err("padet-affine requires a prime task count"))?,
-        )),
+        "padet-rot" | "padet-affine" => Box::new(PaDet::new(list()?)),
         ALGO_NONE => return Err(err("algorithm `none` skips simulation; nothing to build")),
-        _ => unreachable!("validated"),
+        other => return Err(err(format!("unknown algorithm `{other}`"))),
     })
 }
 
@@ -1041,7 +1053,7 @@ mod tests {
             ("padet", (1 << 16) + 1, 1 << 12),
             ("paran1", MAX_P, 4096),
             ("gossip:3", MAX_P, 4096),
-            ("padet-rot", 2, 1 << 28),
+            ("padet-rot", (1 << 16) + 1, 1 << 12),
             ("oblido", 1 << 15, 1 << 15),
         ] {
             let e = validate_setup(key, p, t).unwrap_err().to_string();
@@ -1336,10 +1348,21 @@ mod tests {
 
     #[test]
     fn padet_affine_requires_prime_tasks() {
-        let composite = Instance::new(4, 8).unwrap();
-        assert!(build_algorithm("padet-affine", composite, 0).is_err());
-        let prime = Instance::new(4, 7).unwrap();
-        assert!(build_algorithm("padet-affine", prime, 0).is_ok());
+        // The list is over the min(p, t) units PaDet runs over, so the
+        // unit count, not t alone, must be prime.
+        for (p, t) in [(4, 8), (4, 7), (9, 9)] {
+            let composite = Instance::new(p, t).unwrap();
+            let e = build_algorithm("padet-affine", composite, 0).err().unwrap();
+            assert!(
+                e.to_string()
+                    .contains(&format!("`padet-affine` at shape `{p}x{t}`")),
+                "{e}"
+            );
+        }
+        for (p, t) in [(7, 7), (3, 8), (8, 5)] {
+            let prime = Instance::new(p, t).unwrap();
+            assert!(build_algorithm("padet-affine", prime, 0).is_ok(), "{p}x{t}");
+        }
     }
 
     #[test]

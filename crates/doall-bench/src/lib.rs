@@ -17,11 +17,10 @@
 //! schema and its deterministic JSON/CSV renderers), with [`suite`]
 //! orchestrating discovery, assertion evaluation, and the pass/fail
 //! report, and [`experiments`] holding the named derived-metric hooks.
-//! On top of the per-run pipeline sit the trajectory modules:
-//! [`mod@compare`] diffs two result sets, [`history`] keeps the
-//! append-only `HISTORY.jsonl` ledger (one entry per landed PR), and
-//! [`trend`] turns the ledger into sparklines, slopes, and the
-//! cumulative band gate behind `doall trend`.
+//! [`mod@compare`] diffs two result sets: a run against a committed
+//! baseline, cell by cell, at tolerance 0 by default. Throughput over
+//! time is not tracked here; the separate `perfbench` package measures
+//! it against the bounds in `BENCHMARK.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,12 +28,10 @@
 pub mod compare;
 pub mod experiments;
 pub mod grid;
-pub mod history;
 pub mod resultset;
 pub mod scenario;
 pub mod suite;
 pub mod sweep;
-pub mod trend;
 
 pub use compare::{
     compare, compare_files, load_result_set, parse_result_set, preserve_measured_values,
@@ -43,10 +40,6 @@ pub use compare::{
 };
 pub use experiments::{derive_by_name, scenarios_dir, DeriveFn};
 pub use grid::{AdversarySpec, Cell, CrashStagger, Grid, GridError};
-pub use history::{
-    append_entry, load_history, parse_entry, parse_history, History, HistoryEntry, HistoryError,
-    HISTORY_SCHEMA_VERSION,
-};
 pub use resultset::{
     canonical_adversary, parse_json, Json, Record, ResultSet, ResultSetError, SCHEMA_VERSION,
 };
@@ -57,10 +50,6 @@ pub use suite::{
 pub use sweep::{
     effective_shard_size, run_cells, run_cells_with_stats, CellMeasurement, SweepConfig,
     SweepError, SweepStats,
-};
-pub use trend::{
-    analyze, parse_band, slope, sparkline, Band, BandViolation, MetricTrend, TrendConfig,
-    TrendReport, TREND_SCHEMA_VERSION,
 };
 
 /// A Markdown table accumulated row by row and printed to stdout.

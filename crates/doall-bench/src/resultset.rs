@@ -50,7 +50,7 @@ impl fmt::Display for ResultSetError {
 
 impl std::error::Error for ResultSetError {}
 
-pub(crate) fn err(msg: impl Into<String>) -> ResultSetError {
+fn err(msg: impl Into<String>) -> ResultSetError {
     ResultSetError(msg.into())
 }
 
@@ -269,8 +269,8 @@ impl Json {
 
 /// Deepest array/object nesting [`parse_json`] accepts. The parser
 /// recurses once per level, so without a cap a hostile file of nested
-/// `[` overflows the stack; the committed result sets and ledgers nest
-/// four levels deep.
+/// `[` overflows the stack; the committed result sets nest four levels
+/// deep.
 const MAX_JSON_DEPTH: usize = 256;
 
 struct Parser<'a> {
@@ -566,8 +566,8 @@ impl fmt::Display for CellKey {
 /// The one adversary-key canonicalization point: spellings the grid
 /// grammar understands re-render through
 /// [`crate::grid::AdversarySpec`] (`crash:07` ≡ `crash:7`); unknown
-/// keys pass through verbatim. Every schema reader — baseline parsing,
-/// the history ledger, trend extraction — normalizes here, never
+/// keys pass through verbatim. Every reader of a cell key — baseline
+/// parsing and the comparator's matching — normalizes here, never
 /// locally.
 #[must_use]
 pub fn canonical_adversary(raw: &str) -> String {
@@ -602,12 +602,12 @@ impl BaselineSet {
     }
 }
 
-pub(crate) fn field<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a Json, ResultSetError> {
+fn field<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a Json, ResultSetError> {
     obj.get(key)
         .ok_or_else(|| err(format!("{what}: missing `{key}`")))
 }
 
-pub(crate) fn as_u64(value: &Json, what: &str) -> Result<u64, ResultSetError> {
+fn as_u64(value: &Json, what: &str) -> Result<u64, ResultSetError> {
     match value {
         Json::Number(v) if v.fract() == 0.0 && *v >= 0.0 && *v <= 2f64.powi(53) =>
         {
@@ -618,7 +618,7 @@ pub(crate) fn as_u64(value: &Json, what: &str) -> Result<u64, ResultSetError> {
     }
 }
 
-pub(crate) fn as_str<'a>(value: &'a Json, what: &str) -> Result<&'a str, ResultSetError> {
+fn as_str<'a>(value: &'a Json, what: &str) -> Result<&'a str, ResultSetError> {
     match value {
         Json::String(s) => Ok(s),
         _ => Err(err(format!("{what}: expected a string"))),
@@ -626,9 +626,9 @@ pub(crate) fn as_str<'a>(value: &'a Json, what: &str) -> Result<&'a str, ResultS
 }
 
 /// Parses one record object into its key, metric map, and the raw
-/// (pre-canonicalization) adversary spelling — shared by result-set
-/// documents and history-ledger entries, so both normalize identically.
-pub(crate) fn record_from_json(
+/// (pre-canonicalization) adversary spelling; the inverse of
+/// [`render_key_record`].
+fn record_from_json(
     record: &Json,
     what: &str,
 ) -> Result<(CellKey, BTreeMap<String, f64>, String), ResultSetError> {
@@ -669,31 +669,6 @@ pub(crate) fn record_from_json(
     Ok((key, metrics, raw_adversary))
 }
 
-/// Inserts a parsed record into a cell map, rejecting duplicates with a
-/// canonicalization hint when two spellings collapsed onto one key.
-pub(crate) fn insert_cell(
-    cells: &mut BTreeMap<CellKey, BTreeMap<String, f64>>,
-    key: CellKey,
-    metrics: BTreeMap<String, f64>,
-    raw_adversary: &str,
-) -> Result<(), ResultSetError> {
-    let adversary = key.adversary.clone();
-    let rendered = key.to_string();
-    if cells.insert(key, metrics).is_some() {
-        // Two records can collapse onto one key through adversary
-        // canonicalization (e.g. a pre-normalization file holding both
-        // `crash:07` and `crash:7` cells); name that in the error so
-        // the "duplicate" is explicable when no literal dup exists.
-        let hint = if raw_adversary == adversary {
-            String::new()
-        } else {
-            format!(" (adversary `{raw_adversary}` canonicalizes to `{adversary}`)")
-        };
-        return Err(err(format!("duplicate cell `{rendered}`{hint}")));
-    }
-    Ok(())
-}
-
 /// Parses a sweep result-set document (the schema written by
 /// [`ResultSet::to_json`]) into a [`BaselineSet`]. Unknown fields are
 /// ignored (forward compatibility); missing or mistyped required fields
@@ -720,7 +695,21 @@ pub fn parse_result_set(text: &str) -> Result<BaselineSet, ResultSetError> {
     for (i, record) in records.iter().enumerate() {
         let what = format!("records[{i}]");
         let (key, metrics, raw_adversary) = record_from_json(record, &what)?;
-        insert_cell(&mut cells, key, metrics, &raw_adversary)?;
+        let adversary = key.adversary.clone();
+        let rendered = key.to_string();
+        if cells.insert(key, metrics).is_some() {
+            // Two records can collapse onto one key through adversary
+            // canonicalization (e.g. a pre-normalization file holding
+            // both `crash:07` and `crash:7` cells); name that in the
+            // error so the "duplicate" is explicable when no literal
+            // dup exists.
+            let hint = if raw_adversary == adversary {
+                String::new()
+            } else {
+                format!(" (adversary `{raw_adversary}` canonicalizes to `{adversary}`)")
+            };
+            return Err(err(format!("duplicate cell `{rendered}`{hint}")));
+        }
     }
     Ok(BaselineSet {
         schema_version,
@@ -742,7 +731,7 @@ pub fn load_result_set(path: &str) -> Result<BaselineSet, ResultSetError> {
 
 /// Writes a cell's identity as the `"experiment": …, "seeds": N`
 /// members of a JSON object — the one spelling of the key fields that
-/// result sets, ledger entries, diffs and trend violations share.
+/// result-set records and diff cells share.
 pub(crate) fn write_key_fields(out: &mut String, key: &CellKey) {
     let _ = write!(
         out,
@@ -759,9 +748,9 @@ pub(crate) fn write_key_fields(out: &mut String, key: &CellKey) {
     );
 }
 
-/// Renders one keyed cell as a compact record object: a result set's
-/// record line and the history ledger's per-record form.
-pub(crate) fn render_key_record(key: &CellKey, metrics: &BTreeMap<String, f64>) -> String {
+/// Renders one keyed cell as a compact record object: one line of
+/// [`ResultSet::to_json`].
+fn render_key_record(key: &CellKey, metrics: &BTreeMap<String, f64>) -> String {
     let mut out = String::from("{");
     write_key_fields(&mut out, key);
     out.push_str(", \"metrics\": {");

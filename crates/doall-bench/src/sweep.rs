@@ -349,7 +349,7 @@ pub fn run_cells_with_stats(
 ) -> Result<(Vec<CellMeasurement>, SweepStats), SweepError> {
     // Validate everything up front so workers only see well-formed cells.
     // `padet-affine` is the only key whose build can fail after key
-    // validation (composite task count); probe it eagerly here so the
+    // validation (composite unit count); probe it eagerly here so the
     // failure is a deterministic pre-spawn error rather than a worker
     // race. Other keys are infallible post-validation, and an
     // unconditional eager build would pay their set-up twice: `padet`

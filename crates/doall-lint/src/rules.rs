@@ -20,9 +20,9 @@
 //!   CLI facade, and this linter are drivers: an invariant panic there
 //!   surfaces as a process exit, which is the designed failure mode.
 //!   The exception is the input parsers — the harness's `compare`,
-//!   `history`, `resultset`, `scenario`, `suite` and `trend`, and the
-//!   facade's `src/cli.rs`: they read files and arguments a user writes,
-//!   which must fail with an error, never a panic.
+//!   `grid`, `resultset`, `scenario` and `suite`, and the facade's
+//!   `src/cli.rs`: they read files, grid specs and arguments a user
+//!   writes, which must fail with an error, never a panic.
 //! * Rules apply to `src/` code only — integration tests, benches, and
 //!   examples are not shipped library code (and test regions inside
 //!   `src/` are masked away before rules run).
@@ -49,16 +49,15 @@ const LIB_CRATES: &[&str] = &[
     "doall-sim",
 ];
 
-/// Harness and facade modules that read user input (scenarios, result
-/// sets, the history ledger, command lines), held to H001 like a library
+/// Harness and facade modules that read user input (scenarios, grid
+/// specs, result sets, command lines), held to H001 like a library
 /// crate.
 const H001_PARSERS: &[&str] = &[
     "crates/doall-bench/src/compare.rs",
-    "crates/doall-bench/src/history.rs",
+    "crates/doall-bench/src/grid.rs",
     "crates/doall-bench/src/resultset.rs",
     "crates/doall-bench/src/scenario.rs",
     "crates/doall-bench/src/suite.rs",
-    "crates/doall-bench/src/trend.rs",
     "src/cli.rs",
 ];
 
@@ -538,6 +537,8 @@ mod tests {
             "{}",
             hits[0].message
         );
+        let hits = run("crates/doall-bench/src/grid.rs", boom);
+        assert_eq!(hits[0].rule, RuleId::H001, "grid specs are user input");
     }
 
     #[test]

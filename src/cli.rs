@@ -11,10 +11,6 @@
 //!   scenario's `assert` lines are evaluated, and an aggregated
 //!   pass/fail table is rendered (optionally diffed against a baseline);
 //! * `compare`  — diff two sweep-result JSON files cell by cell;
-//! * `trend`    — analyze the append-only `HISTORY.jsonl` perf ledger
-//!   (one entry per landed PR): sparklines, per-entry slopes, and a
-//!   cumulative band gate that catches drift the per-step comparator
-//!   can't; `--append` adds a fresh result set to the ledger;
 //! * `lint`     — run the determinism-preserving static analysis over
 //!   the workspace sources (rules D001–D004, H001–H002; see
 //!   `doall-lint`) and report `path:line`-anchored diagnostics;
@@ -40,11 +36,9 @@ use doall_bench::grid::{
     build_adversary, build_algorithm, validate_adversary_key, validate_algo_key, validate_setup,
     validate_shape, AdversarySpec, Backend, Grid,
 };
-use doall_bench::history::{append_entry, load_history, HistoryEntry};
 use doall_bench::resultset::{Record, ResultSet};
 use doall_bench::suite::{load_dir, run_suite, SuiteConfig};
 use doall_bench::sweep::{run_cells, SweepConfig};
-use doall_bench::trend::{analyze, parse_band, Band, TrendConfig};
 use std::fmt;
 use std::path::Path;
 
@@ -74,8 +68,6 @@ pub enum Command {
     Test(TestSpec),
     /// Diff two sweep-result JSON files cell by cell.
     Compare(CompareSpec),
-    /// Analyze (and optionally append to) the perf-history ledger.
-    Trend(TrendSpec),
     /// Run the static-analysis rules over the workspace sources.
     Lint(LintSpec),
     /// Contention report for a random list of `p` schedules over `[n]`.
@@ -192,40 +184,6 @@ pub struct TestSpec {
     pub record: bool,
 }
 
-/// Parameters of the `trend` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrendSpec {
-    /// The ledger file (`HISTORY.jsonl`).
-    pub history: String,
-    /// Analyze only the last N entries (default: all).
-    pub last: Option<usize>,
-    /// Band gates (`--band metric=±X%`, repeatable).
-    pub bands: Vec<Band>,
-    /// Emit the machine-readable trend document instead of the table.
-    pub json: bool,
-    /// Write the rendered trend here instead of stdout.
-    pub out: Option<String>,
-    /// `--append RESULTS.json --commit SHA`: add this result set to the
-    /// ledger before analyzing.
-    pub append: Option<LedgerAppend>,
-    /// Timestamp for `--append`. Provenance only — the analysis never
-    /// reads a clock (lint rule D002), so the caller supplies time.
-    pub timestamp: Option<String>,
-    /// Harness throughput for `--append` (cells/second, measured by the
-    /// caller); omitted renders as `null` and is exempt from gating.
-    pub cells_per_sec: Option<f64>,
-}
-
-/// A result set to append to the ledger, with the commit it is keyed by
-/// (the ledger keys entries by commit, so the two flags come together).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LedgerAppend {
-    /// Result-set JSON file.
-    pub results: String,
-    /// Commit id.
-    pub commit: String,
-}
-
 /// Parameters of the `compare` subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompareSpec {
@@ -304,10 +262,6 @@ USAGE:
                    [--record] [--tolerance X] [--threads N] [--shard-size N]
                    [--max-ticks N] [--json] [--out PATH]
   doall compare    OLD.json NEW.json [--tolerance X] [--json] [--out PATH]
-  doall trend      [HISTORY.jsonl] [--last N] [--band METRIC=±X%]... [--json]
-                   [--out PATH]
-  doall trend      [HISTORY.jsonl] --append RESULTS.json --commit SHA
-                   [--timestamp TS] [--cells-per-sec X] [--band METRIC=±X%]...
   doall lint       [--json] [--out PATH] [--only RULE,...] [--root DIR]
   doall contention -p P -n N [--seed S]
   doall bounds     -p P -t T -d D
@@ -356,21 +310,6 @@ with, so an unchanged suite regenerates the committed bytes exactly;
 refused while assertions fail). Assertion failures and baseline drift
 exit 1; unreadable suites or malformed scenarios exit 2. The committed
 scenarios/ directory is the paper's experiment suite (e01–e17).
-
-`trend` reads the append-only HISTORY.jsonl perf ledger (one JSON line
-per landed PR: commit, timestamp, harness cells/sec, and the smoke
-result set) and renders the trajectory: an ASCII sparkline plus
-least-squares slope per metric, aggregated over the deterministic
-cells. `--append RESULTS.json --commit SHA` adds an entry first
-(duplicate commits are refused; timestamp and throughput come from
-flags — the analysis never reads a clock). `--band METRIC=±X%` gates
-cumulative drift between the window endpoints (`--last N` picks the
-window): a metric creeping +0.4% per PR passes every per-step
-`compare` at ±1% yet fails the ±1% band after five PRs. Values from
-`threads`-backend cells and the measured-only metrics stay in the
-ledger but are never rendered or gated, so trend output is
-byte-identical across --threads. Exit codes follow compare: 0 clean,
-1 band violations, 2 errors.
 
 `lint` runs the hand-rolled determinism-preserving static analysis
 (doall-lint) over the workspace sources — skipping vendor/, target/,
@@ -688,76 +627,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 tolerance,
                 json,
                 out,
-            }))
-        }
-        "trend" => {
-            let mut history = None;
-            let mut last = None;
-            let mut bands = Vec::new();
-            let mut json = false;
-            let mut out = None;
-            let mut append = None;
-            let mut commit = None;
-            let mut timestamp = None;
-            let mut cells_per_sec = None;
-            while let Some(arg) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {arg} needs a value")))
-                };
-                match arg.as_str() {
-                    "--last" => {
-                        let n = parse_num(value()?, "--last")?;
-                        if n == 0 {
-                            return Err(err("--last must be at least 1"));
-                        }
-                        last = Some(n);
-                    }
-                    "--band" => bands.push(parse_band(value()?).map_err(err)?),
-                    "--json" => json = true,
-                    "--out" => out = Some(value()?.clone()),
-                    "--append" => append = Some(value()?.clone()),
-                    "--commit" => commit = Some(value()?.clone()),
-                    "--timestamp" => timestamp = Some(value()?.clone()),
-                    "--cells-per-sec" => {
-                        let x: f64 = value()?
-                            .parse()
-                            .map_err(|_| err("--cells-per-sec needs a number".to_string()))?;
-                        if !x.is_finite() || x <= 0.0 {
-                            return Err(err("--cells-per-sec must be finite and positive"));
-                        }
-                        cells_per_sec = Some(x);
-                    }
-                    flag if flag.starts_with('-') => {
-                        return Err(err(format!("unknown flag {flag}")));
-                    }
-                    _ if history.is_none() => history = Some(arg.clone()),
-                    _ => return Err(err("trend takes at most one ledger file")),
-                }
-            }
-            let append = match (append, commit) {
-                (Some(results), Some(commit)) => Some(LedgerAppend { results, commit }),
-                (None, None) => None,
-                _ => {
-                    return Err(err(
-                        "--append and --commit go together (the ledger keys entries by commit)",
-                    ))
-                }
-            };
-            if append.is_none() && (timestamp.is_some() || cells_per_sec.is_some()) {
-                return Err(err(
-                    "--timestamp / --cells-per-sec only make sense with --append",
-                ));
-            }
-            Ok(Command::Trend(TrendSpec {
-                history: history.unwrap_or_else(|| "HISTORY.jsonl".to_string()),
-                last,
-                bands,
-                json,
-                out,
-                append,
-                timestamp,
-                cells_per_sec,
             }))
         }
         "lint" => {
@@ -1084,50 +953,6 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                 None => print!("{rendered}"),
             }
             Ok(if comparison.is_clean() {
-                Outcome::Clean
-            } else {
-                Outcome::Drift
-            })
-        }
-        Command::Trend(spec) => {
-            let history = match &spec.append {
-                Some(LedgerAppend { results, commit }) => {
-                    let results = load_result_set(results).map_err(|e| err(e.to_string()))?;
-                    let entry = HistoryEntry::from_result_set(
-                        commit,
-                        spec.timestamp.as_deref().unwrap_or("unrecorded"),
-                        spec.cells_per_sec.unwrap_or(f64::NAN),
-                        &results,
-                    );
-                    let history =
-                        append_entry(&spec.history, &entry).map_err(|e| err(e.to_string()))?;
-                    eprintln!(
-                        "appended {} ({} cells) to {} — {} entries",
-                        commit,
-                        entry.cells.len(),
-                        spec.history,
-                        history.entries.len()
-                    );
-                    history
-                }
-                None => load_history(&spec.history).map_err(|e| err(e.to_string()))?,
-            };
-            let cfg = TrendConfig {
-                last: spec.last,
-                bands: spec.bands.clone(),
-            };
-            let report = analyze(&history, &cfg).map_err(err)?;
-            let rendered = if spec.json {
-                report.render_json()
-            } else {
-                report.render_text()
-            };
-            match &spec.out {
-                Some(path) => std::fs::write(path, rendered)
-                    .map_err(|e| err(format!("cannot write {path}: {e}")))?,
-                None => print!("{rendered}"),
-            }
-            Ok(if report.is_clean() {
                 Outcome::Clean
             } else {
                 Outcome::Drift
@@ -1834,155 +1659,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_trend_subcommand() {
-        // Bare `trend` defaults to the committed ledger, whole window.
-        assert_eq!(
-            parse(&args("trend")).unwrap(),
-            Command::Trend(TrendSpec {
-                history: "HISTORY.jsonl".to_string(),
-                last: None,
-                bands: Vec::new(),
-                json: false,
-                out: None,
-                append: None,
-                timestamp: None,
-                cells_per_sec: None,
-            })
-        );
-        match parse(&args(
-            "trend ledger.jsonl --last 5 --band mean_work=±1% --band mean_messages=2% \
-             --json --out trend.json",
-        ))
-        .unwrap()
-        {
-            Command::Trend(spec) => {
-                assert_eq!(spec.history, "ledger.jsonl");
-                assert_eq!(spec.last, Some(5));
-                assert_eq!(spec.bands.len(), 2);
-                assert_eq!(spec.bands[0].metric, "mean_work");
-                assert!((spec.bands[0].fraction - 0.01).abs() < 1e-12);
-                assert!((spec.bands[1].fraction - 0.02).abs() < 1e-12);
-                assert!(spec.json);
-                assert_eq!(spec.out.as_deref(), Some("trend.json"));
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        match parse(&args(
-            "trend --append results.json --commit abc123 \
-             --timestamp 2026-08-08T00:00:00Z --cells-per-sec 800",
-        ))
-        .unwrap()
-        {
-            Command::Trend(spec) => {
-                assert_eq!(
-                    spec.append,
-                    Some(LedgerAppend {
-                        results: "results.json".to_string(),
-                        commit: "abc123".to_string(),
-                    })
-                );
-                assert_eq!(spec.timestamp.as_deref(), Some("2026-08-08T00:00:00Z"));
-                assert_eq!(spec.cells_per_sec, Some(800.0));
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        // --append and --commit are a pair; provenance flags need them.
-        assert!(parse(&args("trend --append results.json")).is_err());
-        assert!(parse(&args("trend --commit abc")).is_err());
-        assert!(parse(&args("trend --timestamp now")).is_err());
-        assert!(parse(&args("trend --cells-per-sec 5")).is_err());
-        // Garbage is rejected eagerly.
-        assert!(parse(&args("trend --last 0")).is_err());
-        assert!(parse(&args("trend --band mean_work")).is_err());
-        assert!(parse(&args("trend --band =1%")).is_err());
-        assert!(parse(&args("trend --cells-per-sec -3 --append r --commit c")).is_err());
-        assert!(parse(&args("trend a.jsonl b.jsonl")).is_err());
-        assert!(parse(&args("trend --frob")).is_err());
-    }
-
-    #[test]
-    fn execute_trend_appends_gates_and_reports_via_outcome() {
-        use doall_bench::history::parse_history;
-        let dir = std::env::temp_dir().join(format!("doall_cli_trend_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let suite = dir.join("suite");
-        std::fs::create_dir_all(&suite).unwrap();
-        std::fs::write(
-            suite.join("t.scn"),
-            "id = t\ngrid = algos=soloall advs=unit shapes=2x4 ds=1 seeds=1 seed=0\n",
-        )
-        .unwrap();
-        let results = dir.join("results.json");
-        let ledger = dir.join("ledger.jsonl");
-        let (suite, results, ledger) = (
-            suite.to_str().unwrap().to_string(),
-            results.to_str().unwrap().to_string(),
-            ledger.to_str().unwrap().to_string(),
-        );
-
-        // An empty ledger is an error (exit 2), not a silent pass.
-        let cmd = parse(&args(&format!("trend {ledger}"))).unwrap();
-        assert!(execute(&cmd).is_err());
-
-        // `test --record` writes the result set via the shared renderer...
-        let cmd = parse(&args(&format!(
-            "test --suite {suite} --record --baseline {results}"
-        )))
-        .unwrap();
-        assert_eq!(execute(&cmd).unwrap(), Outcome::Clean);
-
-        // ...and --append folds it into the ledger, one entry per commit.
-        for commit in ["aaa", "bbb"] {
-            let cmd = parse(&args(&format!(
-                "trend {ledger} --append {results} --commit {commit} \
-                 --timestamp 2026-08-08T00:00:00Z"
-            )))
-            .unwrap();
-            assert_eq!(execute(&cmd).unwrap(), Outcome::Clean);
-        }
-        let text = std::fs::read_to_string(&ledger).unwrap();
-        assert_eq!(parse_history(&text).unwrap().entries.len(), 2);
-
-        // Duplicate commits are refused (exit 2) without touching the file.
-        let cmd = parse(&args(&format!(
-            "trend {ledger} --append {results} --commit aaa"
-        )))
-        .unwrap();
-        assert!(execute(&cmd).is_err());
-        assert_eq!(std::fs::read_to_string(&ledger).unwrap(), text);
-
-        // Identical entries are flat: any band passes, report renders.
-        let out = dir.join("trend.txt");
-        let out_path = out.to_str().unwrap().to_string();
-        let cmd = parse(&args(&format!(
-            "trend {ledger} --band mean_work=0% --out {out_path}"
-        )))
-        .unwrap();
-        assert_eq!(execute(&cmd).unwrap(), Outcome::Clean);
-        let table = std::fs::read_to_string(&out).unwrap();
-        assert!(table.contains("perf trajectory"), "{table}");
-        assert!(table.contains("mean_work"), "{table}");
-
-        // Doctor the newer entry's mean_work upward: the band trips.
-        let doctored = {
-            let mut lines: Vec<String> = text.lines().map(String::from).collect();
-            lines[1] = lines[1].replacen("\"mean_work\": ", "\"mean_work\": 9", 1);
-            format!("{}\n", lines.join("\n"))
-        };
-        std::fs::write(&ledger, doctored).unwrap();
-        let cmd = parse(&args(&format!("trend {ledger} --band mean_work=1%"))).unwrap();
-        assert_eq!(execute(&cmd).unwrap(), Outcome::Drift);
-        // The JSON document agrees and parses.
-        let json_out = dir.join("trend.json");
-        let json_path = json_out.to_str().unwrap().to_string();
-        let cmd = parse(&args(&format!(
-            "trend {ledger} --band mean_work=1% --json --out {json_path}"
-        )))
-        .unwrap();
-        assert_eq!(execute(&cmd).unwrap(), Outcome::Drift);
-        let doc = doall_bench::parse_json(&std::fs::read_to_string(&json_out).unwrap()).unwrap();
-        assert_eq!(doc.get("clean"), Some(&doall_bench::Json::Bool(false)));
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn trend_is_an_unknown_subcommand() {
+        // perfbench is the one perf trajectory; there is no ledger verb.
+        let e = parse(&args("trend")).unwrap_err();
+        assert!(e.to_string().contains("unknown subcommand `trend`"), "{e}");
+        assert!(!USAGE.contains("trend"), "help still advertises trend");
     }
 
     #[test]

@@ -84,3 +84,50 @@ fn refused_threads_exit_2_naming_the_cell() {
     assert!(stderr.contains("could not start a thread"), "{stderr}");
     assert!(stderr.contains("p=1024 t=1"), "{stderr}");
 }
+
+#[test]
+fn structured_lists_over_more_tasks_than_processors_run() {
+    // padet-rot and padet-affine build their lists over the min(p, t)
+    // units PaDet runs over, not over the t tasks.
+    for (algo, shape, p, t) in [
+        ("padet-rot", "2x4", "2", "4"),
+        ("padet-affine", "2x5", "2", "5"),
+    ] {
+        let grid = format!("algos={algo} advs=unit shapes={shape} ds=1 seeds=1");
+        for args in [
+            vec!["sweep", "--grid", &grid],
+            vec!["simulate", "--algo", algo, "-p", p, "-t", t, "-d", "1"],
+        ] {
+            let (code, stderr) = doall(&args);
+            assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn padet_affine_over_a_composite_unit_count_exits_2_naming_algorithm_and_shape() {
+    // t = 7 is prime, but the list is over min(p, t) = 4 units.
+    let grid = "algos=padet-affine advs=unit shapes=4x7 ds=1 seeds=1";
+    for args in [
+        vec!["sweep", "--grid", grid],
+        vec![
+            "simulate",
+            "--algo",
+            "padet-affine",
+            "-p",
+            "4",
+            "-t",
+            "7",
+            "-d",
+            "1",
+        ],
+    ] {
+        let (code, stderr) = doall(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("`padet-affine` at shape `4x7`"),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("prime unit count"), "{args:?}: {stderr}");
+    }
+}
