@@ -510,7 +510,7 @@ mod tests {
 
     #[test]
     fn preserving_measured_values_makes_rerecording_byte_stable() {
-        use crate::grid::{AdversarySpec, Backend, Cell};
+        use crate::grid::{AdversarySpec, AlgoSpec, Backend, Cell};
         use crate::resultset::{Record, ResultSet};
         use std::collections::BTreeMap;
         let make = |backend, wall: f64, work: f64| {
@@ -520,7 +520,7 @@ mod tests {
             Record {
                 experiment: "e17".to_string(),
                 cell: Cell {
-                    algo: "paran1".to_string(),
+                    algo: AlgoSpec::PaRan1,
                     adversary: AdversarySpec::Unit,
                     p: 4,
                     t: 16,

@@ -7,13 +7,13 @@
 //! thing a text format cannot express: the derived-metric hooks that
 //! restate the paper's closed-form bounds next to the measurements. A
 //! scenario names its hook with `derive = <name>`; the name table is
-//! [`DERIVE_HOOKS`], which also lists the algorithm keys each hook can
-//! handle, so the scenario loader rejects a mismatched grid before
-//! anything runs. The paper's inequality lemmas (4.2 and 6.1) are
+//! [`DERIVE_HOOKS`], which also names the algorithms each hook can
+//! handle ([`Accepts`]), so the scenario loader rejects a mismatched grid
+//! before anything runs. The paper's inequality lemmas (4.2 and 6.1) are
 //! declarative `assert` lines in the scenario files — a violation names
 //! the exact offending cell instead of panicking the harness.
 
-use crate::grid::{schedules_for_algo, Cell, ALGO_NONE};
+use crate::grid::{schedules_for_algo, AlgoSpec, Cell};
 use doall_algorithms::Da;
 use doall_bounds::{da_epsilon, da_upper_bound, lower_bound_work, oblivious_work, pa_upper_bound};
 use doall_core::Instance;
@@ -28,8 +28,11 @@ pub const ROSTER: &[&str] = &["soloall", "da:2", "da:3", "paran1", "paran2", "pa
 /// and inserts bounds/ratios next to them.
 pub type DeriveFn = fn(&Cell, &mut BTreeMap<String, f64>);
 
-fn instance_of(cell: &Cell) -> Instance {
-    Instance::new(cell.p, cell.t).expect("cells are validated before running")
+/// The schedule list the cell's algorithm ran with in replicate 0, if
+/// it runs with one.
+fn list_of(cell: &Cell) -> Option<Schedules> {
+    let instance = Instance::new(cell.p, cell.t).ok()?;
+    schedules_for_algo(&cell.algo, instance, cell.run_seed(0))
 }
 
 fn quadratic(cell: &Cell) -> f64 {
@@ -53,20 +56,18 @@ fn d_lower_bound(cell: &Cell, m: &mut BTreeMap<String, f64>) {
 
 fn d_contention_lemmas(cell: &Cell, m: &mut BTreeMap<String, f64>) {
     let n = cell.t;
-    if cell.algo == ALGO_NONE {
+    if cell.algo == AlgoSpec::None {
         // Lemma 4.1: certified low-contention list search vs the 3nH_n bound.
         let (_, cont) = search::low_contention_list(n, 0);
         m.insert("cont_found".to_string(), cont.value as f64);
         m.insert("bound_3nHn".to_string(), search::lemma41_bound(n));
         m.insert("worst_list_nn".to_string(), (n * n) as f64);
-    } else {
+    } else if let Some(sched) = list_of(cell) {
         // Lemma 4.2 data: ObliDo's primary executions vs Cont(Σ) of the
         // very list it ran with. The inequality itself is a scenario
         // `assert primary <= cont` line, not a panic here. An estimate
         // only bounds Cont(Σ) from below, so `cont` is left out beyond
         // the exact range and the assertion skips the cell.
-        let sched = schedules_for_algo(&cell.algo, instance_of(cell), cell.run_seed(0))
-            .expect("the loader admits only schedule-carrying keys here");
         let cont = contention_of_list(sched.as_slice());
         if cont.exact {
             m.insert("cont".to_string(), cont.value as f64);
@@ -87,29 +88,25 @@ fn d_dcont_threshold(cell: &Cell, m: &mut BTreeMap<String, f64>) {
     m.insert("cap_np".to_string(), (cell.t * cell.p) as f64);
 }
 
-fn da_q_of(cell: &Cell) -> usize {
-    cell.algo
-        .strip_prefix("da:")
-        .and_then(|q| q.parse().ok())
-        .expect("the loader admits only da:<q> keys here")
-}
-
-fn da_eps_of(cell: &Cell, m: &mut BTreeMap<String, f64>) -> f64 {
-    let q = da_q_of(cell);
+fn da_eps_of(cell: &Cell, m: &mut BTreeMap<String, f64>) -> Option<f64> {
+    let AlgoSpec::Da { q } = cell.algo else {
+        return None;
+    };
     let da = Da::with_default_schedules(q, cell.run_seed(0));
     let cont = contention_of_list(da.schedules().as_slice()).value;
     let eps = da_epsilon(q, cont).max(0.05);
     m.insert("cont".to_string(), cont as f64);
     m.insert("epsilon".to_string(), eps);
-    eps
+    Some(eps)
 }
 
 fn d_da_bound(cell: &Cell, m: &mut BTreeMap<String, f64>) {
-    let eps = da_eps_of(cell, m);
-    let bound = da_upper_bound(cell.p, cell.t, cell.d, eps);
-    m.insert("da_bound".to_string(), bound);
-    if let Some(&w) = m.get("mean_work") {
-        m.insert("ratio_bound".to_string(), w / bound);
+    if let Some(eps) = da_eps_of(cell, m) {
+        let bound = da_upper_bound(cell.p, cell.t, cell.d, eps);
+        m.insert("da_bound".to_string(), bound);
+        if let Some(&w) = m.get("mean_work") {
+            m.insert("ratio_bound".to_string(), w / bound);
+        }
     }
     ratio_quadratic(cell, m);
 }
@@ -138,8 +135,9 @@ fn d_dcont_lemma(cell: &Cell, m: &mut BTreeMap<String, f64>) {
     // charge idle steps of processors that have not yet learned
     // completion) is a scenario `assert work <= dcont + p when
     // dcont_exact == 1` line.
-    let sched = schedules_for_algo(&cell.algo, instance_of(cell), cell.run_seed(0))
-        .expect("the loader admits only schedule-carrying keys here");
+    let Some(sched) = list_of(cell) else {
+        return;
+    };
     let dc = d_contention_of_list(sched.as_slice(), cell.d as usize);
     m.insert("dcont".to_string(), dc.value as f64);
     m.insert("dcont_exact".to_string(), f64::from(u8::from(dc.exact)));
@@ -163,44 +161,63 @@ fn d_msgs_over_work(cell: &Cell, m: &mut BTreeMap<String, f64>) {
 }
 
 fn d_dcont_list(cell: &Cell, m: &mut BTreeMap<String, f64>) {
-    let sched = schedules_for_algo(&cell.algo, instance_of(cell), cell.run_seed(0))
-        .expect("the loader admits only schedule-carrying keys here");
-    let dc = d_contention_of_list(sched.as_slice(), cell.d as usize);
-    m.insert("dcont".to_string(), dc.value as f64);
+    if let Some(sched) = list_of(cell) {
+        let dc = d_contention_of_list(sched.as_slice(), cell.d as usize);
+        m.insert("dcont".to_string(), dc.value as f64);
+    }
     ratio_quadratic(cell, m);
 }
 
-/// The algorithm keys whose schedule list [`schedules_for_algo`]
-/// rebuilds — the lists the `(d)`-Cont hooks measure.
-const SCHEDULE_KEYS: &[&str] = &[
-    "oblido",
-    "oblido-searched",
-    "oblido-worst",
-    "padet",
-    "padet-rot",
-    "padet-affine",
-];
+/// The algorithms a derive hook can handle.
+#[derive(Debug, Clone, Copy)]
+pub struct Accepts {
+    /// Names the accepted algorithms in error messages.
+    pub what: &'static str,
+    /// Whether the hook can handle an algorithm.
+    pub admits: fn(&AlgoSpec) -> bool,
+}
+
+/// Hooks that read only the cell's shape and metrics.
+const ANY: Accepts = Accepts {
+    what: "any algorithm",
+    admits: |_| true,
+};
+/// Hooks that rebuild DA's own schedules.
+const DA: Accepts = Accepts {
+    what: "da:<q>",
+    admits: |algo| matches!(algo, AlgoSpec::Da { .. }),
+};
+/// Hooks that rebuild the schedule list the algorithm ran with.
+const LISTS: Accepts = Accepts {
+    what: "the algorithms that run with a schedule list",
+    admits: AlgoSpec::has_schedule_list,
+};
+/// Lemma 4.1 (`none`) and Lemma 4.2 (the ObliDo lists).
+const CONTENTION: Accepts = Accepts {
+    what: "none, oblido, oblido-searched, oblido-worst",
+    admits: |algo| {
+        *algo == AlgoSpec::None
+            || matches!(
+                algo,
+                AlgoSpec::Oblido | AlgoSpec::OblidoSearched | AlgoSpec::OblidoWorst
+            )
+    },
+};
 
 /// Every derived-metric hook a scenario file may name with
-/// `derive = <name>`, sorted by name, with the algorithm keys it can
-/// handle. A key pattern ending in `*` matches by prefix: `da:*` is every
-/// `da:<q>`, and `*` alone is any key.
-pub const DERIVE_HOOKS: &[(&str, &[&str], DeriveFn)] = &[
-    (
-        "contention_lemmas",
-        &[ALGO_NONE, "oblido", "oblido-searched", "oblido-worst"],
-        d_contention_lemmas,
-    ),
-    ("da_bound", &["da:*"], d_da_bound),
-    ("da_epsilon", &["da:*"], d_da_epsilon),
-    ("dcont_lemma", SCHEDULE_KEYS, d_dcont_lemma),
-    ("dcont_list", SCHEDULE_KEYS, d_dcont_list),
-    ("dcont_threshold", &["*"], d_dcont_threshold),
-    ("lower_bound", &["*"], d_lower_bound),
-    ("msgs_over_p_work", &["*"], msgs_over_p_work),
-    ("msgs_over_work", &["*"], d_msgs_over_work),
-    ("pa_bound", &["*"], d_pa_bound),
-    ("ratio_quadratic", &["*"], ratio_quadratic),
+/// `derive = <name>`, sorted by name, with the algorithms it can handle.
+pub const DERIVE_HOOKS: &[(&str, Accepts, DeriveFn)] = &[
+    ("contention_lemmas", CONTENTION, d_contention_lemmas),
+    ("da_bound", DA, d_da_bound),
+    ("da_epsilon", DA, d_da_epsilon),
+    ("dcont_lemma", LISTS, d_dcont_lemma),
+    ("dcont_list", LISTS, d_dcont_list),
+    ("dcont_threshold", ANY, d_dcont_threshold),
+    ("lower_bound", ANY, d_lower_bound),
+    ("msgs_over_p_work", ANY, msgs_over_p_work),
+    ("msgs_over_work", ANY, d_msgs_over_work),
+    ("pa_bound", ANY, d_pa_bound),
+    ("ratio_quadratic", ANY, ratio_quadratic),
 ];
 
 /// Resolves a scenario's `derive = <name>` hook.
@@ -212,28 +229,23 @@ pub fn derive_by_name(name: &str) -> Option<DeriveFn> {
         .map(|&(_, _, f)| f)
 }
 
-/// Checks that derive hook `name` can handle algorithm key `algo` — the
+/// Checks that derive hook `name` can handle algorithm `algo` — the
 /// static check the scenario loader runs on every grid, so a hook never
 /// meets a cell it cannot measure.
 ///
 /// # Errors
 ///
-/// Returns a message naming the unknown hook, or the keys the hook
-/// accepts.
-pub fn check_derive_algo(name: &str, algo: &str) -> Result<(), String> {
-    let Some((_, accepts, _)) = DERIVE_HOOKS.iter().find(|(n, _, _)| *n == name) else {
+/// Returns a message naming the unknown hook, or what the hook accepts.
+pub fn check_derive_algo(name: &str, algo: &AlgoSpec) -> Result<(), String> {
+    let Some(&(_, accepts, _)) = DERIVE_HOOKS.iter().find(|(n, _, _)| *n == name) else {
         return Err(format!("unknown derive hook `{name}`"));
     };
-    let matches = |pattern: &str| match pattern.strip_suffix('*') {
-        Some(prefix) => algo.starts_with(prefix),
-        None => algo == pattern,
-    };
-    if accepts.iter().any(|pattern| matches(pattern)) {
+    if (accepts.admits)(algo) {
         Ok(())
     } else {
         Err(format!(
             "derive hook `{name}` cannot handle algorithm `{algo}` (it accepts {})",
-            accepts.join(", ")
+            accepts.what
         ))
     }
 }
@@ -300,7 +312,7 @@ mod tests {
         let mut advs = std::collections::BTreeSet::new();
         for scn in committed() {
             for grid in scn.grids_for(true) {
-                algos.extend(grid.algos.clone());
+                algos.extend(grid.algos.iter().map(ToString::to_string));
                 advs.extend(grid.adversaries.iter().map(ToString::to_string));
             }
         }
@@ -400,8 +412,9 @@ mod tests {
 
     #[test]
     fn schedule_keys_are_exactly_the_keys_that_carry_schedules() {
-        // The min(p, t) = 5 units are prime, so padet-affine has its
-        // list too.
+        // The (d)-Cont hooks admit exactly the algorithms whose list
+        // `schedules_for_algo` rebuilds: the ObliDo and PaDet lists. The
+        // min(p, t) = 5 units are prime, so padet-affine has its list too.
         let instance = Instance::new(5, 5).unwrap();
         for key in [
             "soloall",
@@ -415,13 +428,22 @@ mod tests {
             "padet-rot",
             "padet-affine",
             "gossip:2",
-            ALGO_NONE,
+            "none",
         ] {
+            let algo = AlgoSpec::parse(key).unwrap();
+            let carries = schedules_for_algo(&algo, instance, 0).is_some();
             assert_eq!(
-                schedules_for_algo(key, instance, 0).is_some(),
-                SCHEDULE_KEYS.contains(&key),
+                carries,
+                key.starts_with("oblido") || key.starts_with("padet"),
                 "{key}"
             );
+            for hook in ["dcont_lemma", "dcont_list"] {
+                assert_eq!(
+                    check_derive_algo(hook, &algo).is_ok(),
+                    carries,
+                    "{hook} {key}"
+                );
+            }
         }
     }
 }

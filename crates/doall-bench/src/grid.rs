@@ -4,21 +4,22 @@
 //!
 //! A [`Grid`] is the unit of experiment description; [`Grid::cells`]
 //! expands it into [`Cell`]s, each of which names everything needed to
-//! reproduce its runs: a string key for the algorithm (see
+//! reproduce its runs: a structured [`AlgoSpec`] (see
 //! [`build_algorithm`]), a structured [`AdversarySpec`] (see
 //! [`build_adversary`]), the instance shape, the delay bound `d`, the
 //! replicate count, and a cell seed derived purely from the cell's
 //! parameters — never from execution order — so a grid run on one thread
 //! and on sixteen produces bit-identical results.
 //!
-//! Adversaries are *parameterized*: the grid grammar exposes each
-//! adversary family's own knobs (`bursty:<period>`, `crash:<pct>@<stagger>`,
-//! `lb:<stage>`, `lbrand:<stage>`, `straggler:<pct>:<slowdown>`), with
-//! bare legacy keys (`bursty`, `crash:25`, `lb`, …) still parsing to the
-//! documented defaults. Numeric knobs are canonicalized at parse time
-//! (`crash:07` ≡ `crash:7`), so one adversary has exactly one rendered
-//! spelling — and therefore one cell identity in sweep output and
-//! baseline comparison.
+//! Both keys are parsed once, at the edge, into typed specs. Adversaries
+//! are *parameterized*: the grid grammar exposes each adversary family's
+//! own knobs (`bursty:<period>`, `crash:<pct>@<stagger>`, `lb:<stage>`,
+//! `lbrand:<stage>`, `straggler:<pct>:<slowdown>`), with bare legacy keys
+//! (`bursty`, `crash:25`, `lb`, …) still parsing to the documented
+//! defaults. Numeric parameters of both specs are canonicalized at parse
+//! time (`crash:07` ≡ `crash:7`, `da:03` ≡ `da:3`), so one algorithm and
+//! one adversary each have exactly one rendered spelling — and therefore
+//! one cell identity in sweep output and baseline comparison.
 
 use doall_algorithms::{Algorithm, Da, ObliDo, PaDet, PaGossip, PaRan1, PaRan2, SoloAll};
 use doall_core::Instance;
@@ -30,10 +31,6 @@ use doall_sim::adversary::{
 };
 use doall_sim::Adversary;
 use std::fmt;
-
-/// Algorithm key that skips simulation: cells carry only derived
-/// (combinatorial) metrics. Used by the pure-contention experiments.
-pub const ALGO_NONE: &str = "none";
 
 /// An error from parsing a grid spec or building a cell's components.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,6 +46,145 @@ impl std::error::Error for GridError {}
 
 fn err(msg: impl Into<String>) -> GridError {
     GridError(msg.into())
+}
+
+/// A structured algorithm key: the paper's construction plus its
+/// parameter. [`AlgoSpec::parse`] canonicalizes the numeric parameters
+/// (`da:03` and `da:+3` parse to `da:3`), so every spec has exactly one
+/// `Display` spelling — the string used for cell identity, seeding and
+/// baseline matching.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum AlgoSpec {
+    /// `none`: skip simulation; cells carry only derived (combinatorial)
+    /// metrics. Used by the pure-contention experiments.
+    None,
+    /// `soloall`: every processor performs every task, sending nothing.
+    SoloAll,
+    /// `oblido`: ObliDo over a random schedule list.
+    Oblido,
+    /// `oblido-searched`: ObliDo over a certified low-contention list.
+    OblidoSearched,
+    /// `oblido-worst`: ObliDo over identical permutations.
+    OblidoWorst,
+    /// `da:<q>`: DA(q) with its default certified schedules.
+    Da {
+        /// Tree arity, `2 ≤ q ≤ 8`.
+        q: usize,
+    },
+    /// `paran1`: PaRan1.
+    PaRan1,
+    /// `paran2`: PaRan2.
+    PaRan2,
+    /// `padet`: PaDet over a random schedule list.
+    PaDet,
+    /// `padet-rot`: PaDet over rotations.
+    PaDetRot,
+    /// `padet-affine`: PaDet over affine maps; needs a prime unit count
+    /// `min(p, t)`.
+    PaDetAffine,
+    /// `gossip:<fanout>`: PaRan1's schedules, each completion message
+    /// sent to `fanout` random peers instead of all `p − 1`.
+    Gossip {
+        /// Peers per completion message, `≥ 1`.
+        fanout: usize,
+    },
+}
+
+/// Builds an algorithm's schedule list for an instance and seed; `None`
+/// when the instance admits no such list.
+type ListBuilder = fn(Instance, u64) -> Option<Schedules>;
+
+impl AlgoSpec {
+    /// Parses an algorithm key, canonicalizing its numeric parameter.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`GridError`] naming the unknown key or bad parameter.
+    pub fn parse(key: &str) -> Result<Self, GridError> {
+        fn param(what: &str, raw: &str) -> Result<usize, GridError> {
+            raw.parse()
+                .map_err(|_| err(format!("{what}: `{raw}` is not a number")))
+        }
+        if let Some(raw) = key.strip_prefix("da:") {
+            let q = param("da:<q>", raw)?;
+            if !(2..=8).contains(&q) {
+                return Err(err("da:<q> supports 2 ≤ q ≤ 8 (certified schedule search)"));
+            }
+            return Ok(AlgoSpec::Da { q });
+        }
+        if let Some(raw) = key.strip_prefix("gossip:") {
+            let fanout = param("gossip:<fanout>", raw)?;
+            if fanout == 0 {
+                return Err(err("gossip fanout must be at least 1"));
+            }
+            return Ok(AlgoSpec::Gossip { fanout });
+        }
+        Ok(match key {
+            "none" => AlgoSpec::None,
+            "soloall" => AlgoSpec::SoloAll,
+            "oblido" => AlgoSpec::Oblido,
+            "oblido-searched" => AlgoSpec::OblidoSearched,
+            "oblido-worst" => AlgoSpec::OblidoWorst,
+            "paran1" => AlgoSpec::PaRan1,
+            "paran2" => AlgoSpec::PaRan2,
+            "padet" => AlgoSpec::PaDet,
+            "padet-rot" => AlgoSpec::PaDetRot,
+            "padet-affine" => AlgoSpec::PaDetAffine,
+            other => return Err(err(format!("unknown algorithm `{other}`"))),
+        })
+    }
+
+    /// How this algorithm builds the schedule list it runs with, or
+    /// `None` when it runs without one. Every list is over the instance's
+    /// `min(p, t)` units, the jobs the algorithm runs over.
+    fn list_builder(self) -> Option<ListBuilder> {
+        let build: ListBuilder = match self {
+            AlgoSpec::Oblido => |i, seed| Some(Schedules::random(i.units(), i.units(), seed)),
+            AlgoSpec::OblidoSearched => {
+                |i, seed| Some(search::low_contention_list(i.units(), seed).0)
+            }
+            AlgoSpec::OblidoWorst => |i, _| Some(Schedules::worst(i.units(), i.units())),
+            AlgoSpec::PaDet => |i, seed| Some(PaDet::random_for(i, seed).schedules().clone()),
+            AlgoSpec::PaDetRot => |i, _| Some(rotation_schedules(i.processors(), i.units())),
+            AlgoSpec::PaDetAffine => {
+                |i, seed| affine_schedules(i.processors(), i.units(), seed).ok()
+            }
+            AlgoSpec::None
+            | AlgoSpec::SoloAll
+            | AlgoSpec::Da { .. }
+            | AlgoSpec::PaRan1
+            | AlgoSpec::PaRan2
+            | AlgoSpec::Gossip { .. } => return None,
+        };
+        Some(build)
+    }
+
+    /// Whether this algorithm runs with a schedule list that
+    /// [`schedules_for_algo`] rebuilds — the lists the contention hooks
+    /// measure.
+    #[must_use]
+    pub(crate) fn has_schedule_list(&self) -> bool {
+        self.list_builder().is_some()
+    }
+}
+
+impl fmt::Display for AlgoSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AlgoSpec::None => write!(f, "none"),
+            AlgoSpec::SoloAll => write!(f, "soloall"),
+            AlgoSpec::Oblido => write!(f, "oblido"),
+            AlgoSpec::OblidoSearched => write!(f, "oblido-searched"),
+            AlgoSpec::OblidoWorst => write!(f, "oblido-worst"),
+            AlgoSpec::Da { q } => write!(f, "da:{q}"),
+            AlgoSpec::PaRan1 => write!(f, "paran1"),
+            AlgoSpec::PaRan2 => write!(f, "paran2"),
+            AlgoSpec::PaDet => write!(f, "padet"),
+            AlgoSpec::PaDetRot => write!(f, "padet-rot"),
+            AlgoSpec::PaDetAffine => write!(f, "padet-affine"),
+            AlgoSpec::Gossip { fanout } => write!(f, "gossip:{fanout}"),
+        }
+    }
 }
 
 /// Default straggler percentage for a bare `straggler` key.
@@ -338,8 +474,8 @@ impl fmt::Display for Backend {
 /// count and deterministic seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
-    /// Algorithm key (see [`build_algorithm`]).
-    pub algo: String,
+    /// Structured algorithm spec (see [`build_algorithm`]).
+    pub algo: AlgoSpec,
     /// Structured adversary spec (see [`build_adversary`]).
     pub adversary: AdversarySpec,
     /// Processors.
@@ -408,8 +544,8 @@ fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grid {
-    /// Algorithm keys.
-    pub algos: Vec<String>,
+    /// Algorithm specs (see [`AlgoSpec`]).
+    pub algos: Vec<AlgoSpec>,
     /// Adversary specs (parameterized; see [`AdversarySpec`]).
     pub adversaries: Vec<AdversarySpec>,
     /// Instance shapes `(p, t)`.
@@ -433,65 +569,48 @@ impl Grid {
     /// Returns a [`GridError`] for unknown fields, malformed values,
     /// empty axes, or unknown algorithm/adversary keys.
     pub fn parse(spec: &str) -> Result<Self, GridError> {
-        let mut algos: Option<Vec<String>> = None;
+        let mut algos: Option<Vec<AlgoSpec>> = None;
         let mut adversaries: Option<Vec<AdversarySpec>> = None;
         let mut shapes: Option<Vec<(usize, usize)>> = None;
         let mut ds: Option<Vec<u64>> = None;
         let mut backends = vec![Backend::Sim];
         let mut seeds = 1u64;
         let mut base_seed = 0u64;
+        fn shape(shape: &str) -> Result<(usize, usize), GridError> {
+            let (p, t) = shape
+                .split_once('x')
+                .ok_or_else(|| err(format!("shape `{shape}` is not PxT")))?;
+            let p: usize = p
+                .parse()
+                .map_err(|_| err(format!("shape `{shape}`: bad processor count")))?;
+            let t: usize = t
+                .parse()
+                .map_err(|_| err(format!("shape `{shape}`: bad task count")))?;
+            if p == 0 || t == 0 {
+                return Err(err(format!("shape `{shape}` must be positive")));
+            }
+            Ok((p, t))
+        }
+        fn delay(d: &str) -> Result<u64, GridError> {
+            match d.parse() {
+                Ok(0) => Err(err("d must be at least 1")),
+                Ok(d) => Ok(d),
+                Err(_) => Err(err(format!("d `{d}` is not a positive integer"))),
+            }
+        }
         for field in spec.split_whitespace() {
             let (key, value) = field
                 .split_once('=')
                 .ok_or_else(|| err(format!("grid field `{field}` is not key=value")))?;
+            let axis = value.split(',');
             match key {
-                "algos" => algos = Some(value.split(',').map(str::to_string).collect()),
+                "algos" => algos = Some(axis.map(AlgoSpec::parse).collect::<Result<_, _>>()?),
                 "advs" => {
-                    adversaries = Some(
-                        value
-                            .split(',')
-                            .map(AdversarySpec::parse)
-                            .collect::<Result<_, _>>()?,
-                    );
+                    adversaries = Some(axis.map(AdversarySpec::parse).collect::<Result<_, _>>()?)
                 }
-                "shapes" => {
-                    let mut parsed = Vec::new();
-                    for shape in value.split(',') {
-                        let (p, t) = shape
-                            .split_once('x')
-                            .ok_or_else(|| err(format!("shape `{shape}` is not PxT")))?;
-                        let p: usize = p
-                            .parse()
-                            .map_err(|_| err(format!("shape `{shape}`: bad processor count")))?;
-                        let t: usize = t
-                            .parse()
-                            .map_err(|_| err(format!("shape `{shape}`: bad task count")))?;
-                        if p == 0 || t == 0 {
-                            return Err(err(format!("shape `{shape}` must be positive")));
-                        }
-                        parsed.push((p, t));
-                    }
-                    shapes = Some(parsed);
-                }
-                "ds" => {
-                    let mut parsed = Vec::new();
-                    for d in value.split(',') {
-                        let d: u64 = d
-                            .parse()
-                            .map_err(|_| err(format!("d `{d}` is not a positive integer")))?;
-                        if d == 0 {
-                            return Err(err("d must be at least 1"));
-                        }
-                        parsed.push(d);
-                    }
-                    ds = Some(parsed);
-                }
-                "backends" => {
-                    backends = value
-                        .split(',')
-                        .map(Backend::parse)
-                        .collect::<Result<_, _>>()?;
-                }
+                "shapes" => shapes = Some(axis.map(shape).collect::<Result<_, _>>()?),
+                "ds" => ds = Some(axis.map(delay).collect::<Result<_, _>>()?),
+                "backends" => backends = axis.map(Backend::parse).collect::<Result<_, _>>()?,
                 "seeds" => {
                     seeds = value
                         .parse()
@@ -540,15 +659,13 @@ impl Grid {
         if self.seeds == 0 {
             return Err(err("seeds must be at least 1"));
         }
-        for key in &self.algos {
-            validate_algo_key(key)?;
-        }
-        // Adversaries are structured specs, valid by construction.
-        // Duplicate axis values would expand to duplicate cells with
-        // identical seeds — double-counted work for the engine and
-        // duplicate cell keys the baseline comparator rightly rejects.
-        // Specs compare post-canonicalization, so `crash:07,crash:7` is a
-        // duplicate here even though the spellings differ.
+        // Algorithms and adversaries are structured specs, valid by
+        // construction. Duplicate axis values would expand to duplicate
+        // cells with identical seeds — double-counted work for the engine
+        // and duplicate cell keys the baseline comparator rightly rejects.
+        // Specs compare post-canonicalization, so `crash:07,crash:7` and
+        // `gossip:2,gossip:02` are duplicates here even though the
+        // spellings differ.
         fn unique_axis<T: Ord>(values: &[T], axis: &str) -> Result<(), GridError> {
             let mut seen = std::collections::BTreeSet::new();
             for v in values {
@@ -565,8 +682,8 @@ impl Grid {
         unique_axis(&self.backends, "backends")?;
         for &(p, t) in &self.shapes {
             validate_shape(p, t)?;
-            for key in &self.algos {
-                validate_setup(key, p, t)?;
+            for algo in &self.algos {
+                validate_setup(algo, p, t)?;
             }
             if p > MAX_THREADS_P && self.backends.contains(&Backend::Threads) {
                 return Err(err(format!(
@@ -584,11 +701,11 @@ impl Grid {
     #[must_use]
     pub fn cells(&self) -> Vec<Cell> {
         let mut out = Vec::new();
-        for algo in &self.algos {
+        for &algo in &self.algos {
+            // Hash the canonical renderings, so keys keep the cell seeds
+            // (and hence baselines) they had when they were raw strings.
+            let algo_key = algo.to_string();
             for &adversary in &self.adversaries {
-                // Hash the canonical rendering, so legacy keys keep the
-                // cell seeds (and hence baselines) they had when
-                // adversaries were raw strings.
                 let adversary_key = adversary.to_string();
                 for &(p, t) in &self.shapes {
                     for &d in &self.ds {
@@ -596,14 +713,14 @@ impl Grid {
                         // hash: both backends of a scenario share
                         // replicate seeds (same algorithm randomness on
                         // each).
-                        let mut h = fnv1a(algo.as_bytes(), 0xcbf2_9ce4_8422_2325);
+                        let mut h = fnv1a(algo_key.as_bytes(), 0xcbf2_9ce4_8422_2325);
                         h = fnv1a(adversary_key.as_bytes(), h);
                         h = fnv1a(&(p as u64).to_le_bytes(), h);
                         h = fnv1a(&(t as u64).to_le_bytes(), h);
                         h = fnv1a(&d.to_le_bytes(), h);
                         for &backend in &self.backends {
                             out.push(Cell {
-                                algo: algo.clone(),
+                                algo,
                                 adversary,
                                 p,
                                 t,
@@ -629,6 +746,7 @@ impl fmt::Display for Grid {
             .map(|(p, t)| format!("{p}x{t}"))
             .collect();
         let ds: Vec<String> = self.ds.iter().map(u64::to_string).collect();
+        let algos: Vec<String> = self.algos.iter().map(AlgoSpec::to_string).collect();
         let adversaries: Vec<String> = self
             .adversaries
             .iter()
@@ -645,7 +763,7 @@ impl fmt::Display for Grid {
         write!(
             f,
             "algos={} advs={}{} shapes={} ds={} seeds={} seed={}",
-            self.algos.join(","),
+            algos.join(","),
             adversaries.join(","),
             backends,
             shapes.join(","),
@@ -672,19 +790,21 @@ pub const MAX_SETUP_BYTES: u128 = 1 << 30;
 /// runtime starts one OS thread per processor.
 pub const MAX_THREADS_P: usize = 4096;
 
-/// Bytes of schedule list the algorithm `key` builds for a `p × t` cell,
-/// at one `u32` per list entry; `0` for keys without a list (DA's
-/// `q × q` lists are negligible). Every list is over the `min(p, t)`
-/// units and shared by every processor, so this is the whole set-up
-/// cost.
-fn setup_bytes(key: &str, p: usize, t: usize) -> u128 {
+/// Bytes of schedule list `algo` builds for a `p × t` cell, at one `u32`
+/// per list entry; `0` for algorithms without a list (DA's `q × q` lists
+/// are negligible). Every list is over the `min(p, t)` units and shared
+/// by every processor, so this is the whole set-up cost.
+fn setup_bytes(algo: &AlgoSpec, p: usize, t: usize) -> u128 {
     let (p, t) = (p as u128, t as u128);
     let n = p.min(t);
-    let entries = match key {
-        "padet" | "padet-rot" | "padet-affine" | "paran1" => p * n,
-        "oblido" | "oblido-searched" | "oblido-worst" => n * n,
-        _ if key.starts_with("gossip:") => p * n,
-        _ => 0,
+    let entries = match algo {
+        AlgoSpec::PaDet
+        | AlgoSpec::PaDetRot
+        | AlgoSpec::PaDetAffine
+        | AlgoSpec::PaRan1
+        | AlgoSpec::Gossip { .. } => p * n,
+        AlgoSpec::Oblido | AlgoSpec::OblidoSearched | AlgoSpec::OblidoWorst => n * n,
+        AlgoSpec::None | AlgoSpec::SoloAll | AlgoSpec::Da { .. } | AlgoSpec::PaRan2 => 0,
     };
     entries * 4
 }
@@ -696,11 +816,11 @@ fn setup_bytes(key: &str, p: usize, t: usize) -> u128 {
 /// # Errors
 ///
 /// Returns a [`GridError`] naming the algorithm, the shape and the cap.
-pub fn validate_setup(key: &str, p: usize, t: usize) -> Result<(), GridError> {
-    let bytes = setup_bytes(key, p, t);
+pub fn validate_setup(algo: &AlgoSpec, p: usize, t: usize) -> Result<(), GridError> {
+    let bytes = setup_bytes(algo, p, t);
     if bytes > MAX_SETUP_BYTES {
         return Err(err(format!(
-            "algorithm `{key}` at shape `{p}x{t}`: its schedule list needs {bytes} bytes, \
+            "algorithm `{algo}` at shape `{p}x{t}`: its schedule list needs {bytes} bytes, \
              over the set-up cap of {MAX_SETUP_BYTES}"
         )));
     }
@@ -727,122 +847,52 @@ pub fn validate_shape(p: usize, t: usize) -> Result<(), GridError> {
     Ok(())
 }
 
-/// Validates an algorithm key without building it (no instance needed).
-///
-/// # Errors
-///
-/// Returns a [`GridError`] for an unknown key or bad parameter.
-pub fn validate_algo_key(key: &str) -> Result<(), GridError> {
-    if let Some(q) = key.strip_prefix("da:") {
-        return da_q(q).map(|_| ());
-    }
-    if let Some(fanout) = key.strip_prefix("gossip:") {
-        return gossip_fanout(fanout).map(|_| ());
-    }
-    match key {
-        "soloall" | "oblido" | "oblido-searched" | "oblido-worst" | "paran1" | "paran2"
-        | "padet" | "padet-rot" | "padet-affine" | ALGO_NONE => Ok(()),
-        other => Err(err(format!("unknown algorithm `{other}`"))),
-    }
-}
-
-/// Parses the `q` of `da:<q>`.
-fn da_q(q: &str) -> Result<usize, GridError> {
-    let q: usize = q
-        .parse()
-        .map_err(|_| err(format!("da:<q>: `{q}` is not a number")))?;
-    if !(2..=8).contains(&q) {
-        return Err(err("da:<q> supports 2 ≤ q ≤ 8 (certified schedule search)"));
-    }
-    Ok(q)
-}
-
-/// Parses the fanout of `gossip:<fanout>`.
-fn gossip_fanout(fanout: &str) -> Result<usize, GridError> {
-    let fanout: usize = fanout
-        .parse()
-        .map_err(|_| err(format!("gossip:<fanout>: `{fanout}` is not a number")))?;
-    if fanout == 0 {
-        return Err(err("gossip fanout must be at least 1"));
-    }
-    Ok(fanout)
-}
-
-/// Validates a textual adversary key without building it — a thin
-/// wrapper over [`AdversarySpec::parse`] for callers that still hold the
-/// user's raw string (the CLI).
-///
-/// # Errors
-///
-/// Returns a [`GridError`] for an unknown key or bad knob.
-pub fn validate_adversary_key(key: &str) -> Result<(), GridError> {
-    AdversarySpec::parse(key).map(|_| ())
-}
-
-/// Builds the schedule list an algorithm key implies, when it has one —
-/// used by experiments whose derived metrics (contention, `(d)`-Cont)
-/// refer to the very list the algorithm ran with. Every list is over the
+/// Builds the schedule list `algo` runs with, when it has one — used by
+/// experiments whose derived metrics (contention, `(d)`-Cont) refer to
+/// the very list the algorithm ran with. Every list is over the
 /// instance's `min(p, t)` units, the jobs the algorithm runs over;
 /// `padet-affine` has none unless that count is prime.
 #[must_use]
-pub fn schedules_for_algo(key: &str, instance: Instance, seed: u64) -> Option<Schedules> {
-    let n = instance.units();
-    match key {
-        "oblido" => Some(Schedules::random(n, n, seed)),
-        "oblido-searched" => Some(search::low_contention_list(n, seed).0),
-        "oblido-worst" => Some(Schedules::worst(n, n)),
-        "padet" => Some(PaDet::random_for(instance, seed).schedules().clone()),
-        "padet-rot" => Some(rotation_schedules(instance.processors(), n)),
-        "padet-affine" => affine_schedules(instance.processors(), n, seed).ok(),
-        _ => None,
-    }
+pub fn schedules_for_algo(algo: &AlgoSpec, instance: Instance, seed: u64) -> Option<Schedules> {
+    algo.list_builder().and_then(|build| build(instance, seed))
 }
 
-/// Builds the algorithm named by `key` for `instance`, deriving any
+/// Builds the algorithm `algo` names for `instance`, deriving any
 /// randomness from `seed`.
-///
-/// Keys: `soloall`, `oblido` (random list), `oblido-searched` (certified
-/// low-contention list), `oblido-worst` (identical permutations),
-/// `da:<q>`, `paran1`, `paran2`, `padet` (random list), `padet-rot`
-/// (rotations), `padet-affine` (affine maps; requires a prime unit
-/// count `min(p, t)`), `gossip:<fanout>`, and `none` (skip simulation).
 ///
 /// # Errors
 ///
-/// Returns a [`GridError`] for an unknown key, a bad parameter, or a key
-/// whose preconditions the instance does not meet (e.g. `padet-affine`
-/// over a composite unit count).
+/// Returns a [`GridError`] for [`AlgoSpec::None`], which skips simulation,
+/// or for an algorithm whose preconditions the instance does not meet
+/// (`padet-affine` over a composite unit count).
 pub fn build_algorithm(
-    key: &str,
+    algo: &AlgoSpec,
     instance: Instance,
     seed: u64,
 ) -> Result<Box<dyn Algorithm>, GridError> {
-    if let Some(q) = key.strip_prefix("da:") {
-        return Ok(Box::new(Da::with_default_schedules(da_q(q)?, seed)));
-    }
-    if let Some(fanout) = key.strip_prefix("gossip:") {
-        return Ok(Box::new(PaGossip::new(seed, gossip_fanout(fanout)?)));
-    }
     // Only `padet-affine`'s list can be missing: a composite unit count.
     let list = || {
-        schedules_for_algo(key, instance, seed).ok_or_else(|| {
+        schedules_for_algo(algo, instance, seed).ok_or_else(|| {
             err(format!(
-                "algorithm `{key}` at shape `{}x{}`: needs a prime unit count min(p, t), got {}",
+                "algorithm `{algo}` at shape `{}x{}`: needs a prime unit count min(p, t), got {}",
                 instance.processors(),
                 instance.tasks(),
                 instance.units()
             ))
         })
     };
-    Ok(match key {
-        "soloall" => Box::new(SoloAll::new()),
-        "oblido" | "oblido-searched" | "oblido-worst" => Box::new(ObliDo::new(list()?)),
-        "paran1" => Box::new(PaRan1::new(seed)),
-        "paran2" => Box::new(PaRan2::new(seed)),
-        "padet" => Box::new(PaDet::random_for(instance, seed)),
-        "padet-rot" | "padet-affine" => Box::new(PaDet::new(list()?)),
-        ALGO_NONE => return Err(err("algorithm `none` skips simulation; nothing to build")),
-        other => return Err(err(format!("unknown algorithm `{other}`"))),
+    Ok(match *algo {
+        AlgoSpec::None => return Err(err("algorithm `none` skips simulation; nothing to build")),
+        AlgoSpec::SoloAll => Box::new(SoloAll::new()),
+        AlgoSpec::Oblido | AlgoSpec::OblidoSearched | AlgoSpec::OblidoWorst => {
+            Box::new(ObliDo::new(list()?))
+        }
+        AlgoSpec::Da { q } => Box::new(Da::with_default_schedules(q, seed)),
+        AlgoSpec::PaRan1 => Box::new(PaRan1::new(seed)),
+        AlgoSpec::PaRan2 => Box::new(PaRan2::new(seed)),
+        AlgoSpec::PaDet => Box::new(PaDet::random_for(instance, seed)),
+        AlgoSpec::PaDetRot | AlgoSpec::PaDetAffine => Box::new(PaDet::new(list()?)),
+        AlgoSpec::Gossip { fanout } => Box::new(PaGossip::new(seed, fanout)),
     })
 }
 
@@ -969,6 +1019,10 @@ pub fn build_adversary(
 mod tests {
     use super::*;
 
+    fn algo(key: &str) -> AlgoSpec {
+        AlgoSpec::parse(key).unwrap_or_else(|e| panic!("{key}: {e}"))
+    }
+
     #[test]
     fn grid_parse_display_round_trips() {
         let specs = [
@@ -1043,12 +1097,15 @@ mod tests {
         // The benchmark's p = t = 4096 lists (64 MiB) and the CI scale
         // cell's DA list stay well inside the cap.
         for key in ["padet", "paran1", "gossip:2", "padet-rot"] {
-            assert!(validate_setup(key, 4096, 4096).is_ok(), "{key}");
+            assert!(validate_setup(&algo(key), 4096, 4096).is_ok(), "{key}");
         }
-        assert!(validate_setup("da:3", 65536, 65536).is_ok());
-        assert!(validate_setup("paran2", MAX_P, 4096).is_ok(), "no list");
+        assert!(validate_setup(&algo("da:3"), 65536, 65536).is_ok());
+        assert!(
+            validate_setup(&algo("paran2"), MAX_P, 4096).is_ok(),
+            "no list"
+        );
         // p·n = 2²⁸ entries is exactly the cap; one more processor is over.
-        assert!(validate_setup("padet", 1 << 16, 1 << 12).is_ok());
+        assert!(validate_setup(&algo("padet"), 1 << 16, 1 << 12).is_ok());
         for (key, p, t) in [
             ("padet", (1 << 16) + 1, 1 << 12),
             ("paran1", MAX_P, 4096),
@@ -1056,7 +1113,7 @@ mod tests {
             ("padet-rot", (1 << 16) + 1, 1 << 12),
             ("oblido", 1 << 15, 1 << 15),
         ] {
-            let e = validate_setup(key, p, t).unwrap_err().to_string();
+            let e = validate_setup(&algo(key), p, t).unwrap_err().to_string();
             assert!(e.contains(&format!("`{key}` at shape `{p}x{t}`")), "{e}");
         }
         let grid = Grid::parse("algos=da:3,padet advs=unit shapes=8x8,1048576x4096").unwrap_err();
@@ -1164,6 +1221,28 @@ mod tests {
     }
 
     #[test]
+    fn algo_spec_gives_one_algorithm_one_cell_identity() {
+        // `gossip:02` and `da:+3` used to record as keys of their own,
+        // with their own cell seeds; parsing now canonicalizes.
+        for (key, canonical) in [
+            ("da:03", "da:3"),
+            ("da:+3", "da:3"),
+            ("gossip:02", "gossip:2"),
+        ] {
+            assert_eq!(algo(key), algo(canonical), "{key}");
+            assert_eq!(algo(key).to_string(), canonical, "{key}");
+        }
+        let padded = Grid::parse("algos=da:+3,da:04 advs=unit shapes=8x8").unwrap();
+        let plain = Grid::parse("algos=da:3,da:4 advs=unit shapes=8x8").unwrap();
+        assert_eq!(padded.cells(), plain.cells(), "same records, same seeds");
+        assert_eq!(padded.cells()[0].algo.to_string(), "da:3");
+        for dup in ["gossip:2,gossip:02", "da:3,da:+3", "da:03,da:3"] {
+            let e = Grid::parse(&format!("algos={dup} advs=unit shapes=8x8")).unwrap_err();
+            assert_eq!(e.to_string(), "duplicate value in algos axis", "{dup}");
+        }
+    }
+
+    #[test]
     fn adversary_spec_rejects_bad_knobs() {
         for bad in [
             "bursty:0",
@@ -1258,10 +1337,10 @@ mod tests {
             .unwrap();
         let cells = grid.cells();
         assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].algo, "paran1");
+        assert_eq!(cells[0].algo, AlgoSpec::PaRan1);
         assert_eq!(cells[0].d, 1);
         assert_eq!(cells[1].d, 2);
-        assert_eq!(cells[2].algo, "soloall");
+        assert_eq!(cells[2].algo, AlgoSpec::SoloAll);
         assert!(cells.iter().all(|c| c.seeds == 2));
     }
 
@@ -1271,8 +1350,13 @@ mod tests {
             Grid::parse("algos=paran1,soloall advs=stage shapes=4x8 ds=1 seeds=1 seed=9").unwrap();
         let b =
             Grid::parse("algos=soloall,paran1 advs=stage shapes=4x8 ds=1 seeds=1 seed=9").unwrap();
-        let find =
-            |cells: &[Cell], algo: &str| cells.iter().find(|c| c.algo == algo).unwrap().cell_seed;
+        let find = |cells: &[Cell], key: &str| {
+            cells
+                .iter()
+                .find(|c| c.algo == algo(key))
+                .unwrap()
+                .cell_seed
+        };
         let (ca, cb) = (a.cells(), b.cells());
         assert_eq!(find(&ca, "paran1"), find(&cb, "paran1"));
         assert_eq!(find(&ca, "soloall"), find(&cb, "soloall"));
@@ -1309,7 +1393,7 @@ mod tests {
             "padet-affine",
             "gossip:2",
         ] {
-            assert!(build_algorithm(key, instance, 1).is_ok(), "{key}");
+            assert!(build_algorithm(&algo(key), instance, 1).is_ok(), "{key}");
         }
         for key in [
             "unit",
@@ -1341,9 +1425,9 @@ mod tests {
 
     #[test]
     fn none_key_validates_but_does_not_build() {
-        assert!(validate_algo_key(ALGO_NONE).is_ok());
+        assert_eq!(algo("none"), AlgoSpec::None);
         let instance = Instance::new(2, 2).unwrap();
-        assert!(build_algorithm(ALGO_NONE, instance, 0).is_err());
+        assert!(build_algorithm(&AlgoSpec::None, instance, 0).is_err());
     }
 
     #[test]
@@ -1352,7 +1436,9 @@ mod tests {
         // unit count, not t alone, must be prime.
         for (p, t) in [(4, 8), (4, 7), (9, 9)] {
             let composite = Instance::new(p, t).unwrap();
-            let e = build_algorithm("padet-affine", composite, 0).err().unwrap();
+            let e = build_algorithm(&AlgoSpec::PaDetAffine, composite, 0)
+                .err()
+                .unwrap();
             assert!(
                 e.to_string()
                     .contains(&format!("`padet-affine` at shape `{p}x{t}`")),
@@ -1361,7 +1447,10 @@ mod tests {
         }
         for (p, t) in [(7, 7), (3, 8), (8, 5)] {
             let prime = Instance::new(p, t).unwrap();
-            assert!(build_algorithm("padet-affine", prime, 0).is_ok(), "{p}x{t}");
+            assert!(
+                build_algorithm(&AlgoSpec::PaDetAffine, prime, 0).is_ok(),
+                "{p}x{t}"
+            );
         }
     }
 

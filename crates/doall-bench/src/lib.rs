@@ -39,7 +39,7 @@ pub use compare::{
     DIFF_SCHEMA_VERSION,
 };
 pub use experiments::{derive_by_name, scenarios_dir, DeriveFn};
-pub use grid::{AdversarySpec, Cell, CrashStagger, Grid, GridError};
+pub use grid::{AdversarySpec, AlgoSpec, Cell, CrashStagger, Grid, GridError};
 pub use resultset::{
     canonical_adversary, parse_json, Json, Record, ResultSet, ResultSetError, SCHEMA_VERSION,
 };

@@ -76,7 +76,7 @@ impl Record {
     pub fn key(&self) -> CellKey {
         CellKey {
             experiment: self.experiment.clone(),
-            algo: self.cell.algo.clone(),
+            algo: self.cell.algo.to_string(),
             adversary: self.cell.adversary.to_string(),
             backend: self.cell.backend.to_string(),
             p: self.cell.p as u64,
@@ -210,7 +210,7 @@ impl ResultSet {
             let mut table = Table::new(headers);
             for r in group {
                 let mut row = vec![
-                    r.cell.algo.clone(),
+                    r.cell.algo.to_string(),
                     r.cell.adversary.to_string(),
                     r.cell.backend.to_string(),
                     r.cell.p.to_string(),
@@ -771,7 +771,7 @@ mod tests {
         Record {
             experiment: exp.to_string(),
             cell: Cell {
-                algo: algo.to_string(),
+                algo: crate::grid::AlgoSpec::parse(algo).unwrap(),
                 adversary: crate::grid::AdversarySpec::Stage,
                 p: 4,
                 t: 16,
@@ -806,7 +806,9 @@ mod tests {
 
     #[test]
     fn json_handles_non_finite_and_escapes() {
-        let mut r = record("e01", "a\"b", 1, 1.0);
+        // Algorithm specs render without quotes; the experiment id is
+        // free text.
+        let mut r = record("e\"01", "soloall", 1, 1.0);
         r.metrics.insert("bad".to_string(), f64::NAN);
         let set = ResultSet {
             mode: "full".to_string(),

@@ -40,7 +40,7 @@
 //!   carrying the metric.
 //! * An optional `[key=value,…]` selector restricts either scope to
 //!   cells matching on `algo`, `adversary`, `backend`, `p`, `t`, or
-//!   `d` (adversaries by their canonical spelling).
+//!   `d` (algorithms and adversaries by their canonical spelling).
 //! * Arithmetic is `+ - * /` with the usual precedence, parentheses,
 //!   and `ratio(a, b)` as a readable spelling of `a / b`. Division by
 //!   zero follows IEEE (and a NaN comparison fails the assertion).
@@ -511,7 +511,7 @@ impl Assertion {
     pub fn selects(&self, cell: &Cell) -> bool {
         self.filters.iter().all(|(key, value)| {
             let actual = match key.as_str() {
-                "algo" => cell.algo.clone(),
+                "algo" => cell.algo.to_string(),
                 "adversary" => cell.adversary.to_string(),
                 "backend" => cell.backend.to_string(),
                 "p" => cell.p.to_string(),
@@ -1085,11 +1085,11 @@ impl fmt::Display for Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{AdversarySpec, Backend};
+    use crate::grid::{AdversarySpec, AlgoSpec, Backend};
 
     fn cell(algo: &str, p: usize, t: usize, d: u64) -> Cell {
         Cell {
-            algo: algo.to_string(),
+            algo: AlgoSpec::parse(algo).unwrap(),
             adversary: AdversarySpec::Stage,
             p,
             t,
@@ -1268,8 +1268,8 @@ assert agg max(ratio_quadratic) < 10
     #[test]
     fn aggregate_evaluation_pools_cells() {
         let a = Assertion::parse("assert agg max(ratio) < 1").unwrap();
-        let c1 = cell("a", 4, 16, 1);
-        let c2 = cell("b", 4, 16, 1);
+        let c1 = cell("soloall", 4, 16, 1);
+        let c2 = cell("paran1", 4, 16, 1);
         let m1 = metrics(&[("ratio", 0.5)]);
         let m2 = metrics(&[("ratio", 0.9)]);
         let rows = vec![(&c1, &m1), (&c2, &m2)];
@@ -1292,7 +1292,7 @@ assert agg max(ratio_quadratic) < 10
     #[test]
     fn expression_precedence_matches_arithmetic() {
         let a = Assertion::parse("assert 2 + 3 * 4 == 14").unwrap();
-        let c = cell("x", 1, 1, 1);
+        let c = cell("soloall", 1, 1, 1);
         assert_eq!(a.check_cell(&c, &metrics(&[])), Some(Ok(())));
         let a = Assertion::parse("assert (2 + 3) * 4 == 20").unwrap();
         assert_eq!(a.check_cell(&c, &metrics(&[])), Some(Ok(())));
@@ -1322,7 +1322,7 @@ assert agg max(ratio_quadratic) < 10
 
     #[test]
     fn aliases_resolve_to_mean_metrics() {
-        let c = cell("x", 2, 8, 1);
+        let c = cell("soloall", 2, 8, 1);
         let m = metrics(&[
             ("mean_work", 10.0),
             ("mean_messages", 4.0),

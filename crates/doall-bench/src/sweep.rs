@@ -18,12 +18,12 @@
 use crate::compare::MEASURED_ONLY_METRICS;
 use crate::grid::{
     build_adversary, build_algorithm, cell_label, crash_plan, straggler_flags, AdversarySpec,
-    Backend, Cell, GridError, ALGO_NONE,
+    AlgoSpec, Backend, Cell, GridError,
 };
 use doall_core::{Instance, RunReport};
 use doall_runtime::{Runtime, RuntimeConfig};
 use doall_sim::analysis::{execution_profile, summarize, BatchSummary, ProfilePartial};
-use doall_sim::{Simulation, Trace, TraceMode, DEFAULT_MAX_TICKS};
+use doall_sim::{Simulation, TraceMode, DEFAULT_MAX_TICKS};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,9 +32,7 @@ use std::time::Duration;
 
 /// Ceiling on trace capacity when an experiment asks for execution
 /// profiles. The per-run capacity is sized from the cell's shape and the
-/// tick budget (see [`trace_capacity`]) and clamped to this, and the
-/// buffer itself is recycled across a worker's replicates rather than
-/// reallocated per run.
+/// tick budget (see [`trace_capacity`]) and clamped to this.
 const TRACE_CAPACITY: usize = 4_000_000;
 
 /// Pace of a full-speed processor on the `threads` backend. Real threads
@@ -106,7 +104,7 @@ pub fn default_threads() -> usize {
 /// An error from executing a sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
-    /// A cell referenced an unknown or unbuildable key.
+    /// A cell's algorithm cannot be built for its instance.
     Bad(GridError),
     /// A run hit the tick cutoff without completing.
     Incomplete {
@@ -173,7 +171,7 @@ impl From<GridError> for SweepError {
 }
 
 /// The measured side of one cell: batch aggregates plus the measured
-/// extras. `summary` is `None` for derive-only cells (`algo == "none"`).
+/// extras. `summary` is `None` for derive-only cells ([`AlgoSpec::None`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellMeasurement {
     /// The cell that was run.
@@ -297,10 +295,10 @@ fn plan_shards(cells: &[Cell], cfg: &SweepConfig) -> Vec<Shard> {
     // work: derive-only `none` cells run nothing, so counting them would
     // keep whole-cell shards (and one pinned thread) on grids that mix
     // combinatorial baseline rows with a few big simulated cells.
-    let simulated = cells.iter().filter(|c| c.algo != ALGO_NONE).count();
+    let simulated = cells.iter().filter(|c| c.algo != AlgoSpec::None).count();
     let mut shards = Vec::new();
     for (cell_idx, cell) in cells.iter().enumerate() {
-        if cell.algo == ALGO_NONE {
+        if cell.algo == AlgoSpec::None {
             continue;
         }
         let size = effective_shard_size(simulated, cell.seeds, cfg);
@@ -329,9 +327,10 @@ fn plan_shards(cells: &[Cell], cfg: &SweepConfig) -> Vec<Shard> {
 ///
 /// # Errors
 ///
-/// Returns the [`SweepError`] of the lowest-indexed failing cell (bad
-/// key, invalid instance, or a run that hit the tick cutoff) — *which*
-/// error surfaces does not depend on thread scheduling.
+/// Returns the [`SweepError`] of the lowest-indexed failing cell
+/// (invalid instance, an algorithm the instance cannot build, or a run
+/// that hit the tick cutoff) — *which* error surfaces does not depend on
+/// thread scheduling.
 pub fn run_cells(cells: &[Cell], cfg: &SweepConfig) -> Result<Vec<CellMeasurement>, SweepError> {
     run_cells_with_stats(cells, cfg).map(|(measurements, _)| measurements)
 }
@@ -347,24 +346,12 @@ pub fn run_cells_with_stats(
     cells: &[Cell],
     cfg: &SweepConfig,
 ) -> Result<(Vec<CellMeasurement>, SweepStats), SweepError> {
-    // Validate everything up front so workers only see well-formed cells.
-    // `padet-affine` is the only key whose build can fail after key
-    // validation (composite unit count); probe it eagerly here so the
-    // failure is a deterministic pre-spawn error rather than a worker
-    // race. Other keys are infallible post-validation, and an
-    // unconditional eager build would pay their set-up twice: `padet`
-    // draws p random schedules of [t]: at p = t = 4096 about 0.09 s per
-    // replicate, 23% of a traced perfbench `broadcast_scale` pass on a
-    // 2-core container.
+    // Validate the shapes up front so workers only see well-formed cells;
+    // algorithms and adversaries are structured specs, valid by
+    // construction.
     for cell in cells {
-        crate::grid::validate_algo_key(&cell.algo)?;
-        // Adversaries are structured specs — valid by construction.
-        let instance =
-            Instance::new(cell.p, cell.t).map_err(|e| SweepError::Instance(e.to_string()))?;
-        if cell.algo == "padet-affine" {
-            build_algorithm(&cell.algo, instance, cell.run_seed(0))?;
-        }
-        if cfg.trace && cell.algo != ALGO_NONE && cell.backend == Backend::Threads {
+        Instance::new(cell.p, cell.t).map_err(|e| SweepError::Instance(e.to_string()))?;
+        if cfg.trace && cell.algo != AlgoSpec::None && cell.backend == Backend::Threads {
             return Err(SweepError::TraceThreads {
                 cell: cell_label(cell),
             });
@@ -397,9 +384,6 @@ pub fn run_cells_with_stats(
     let errors: Mutex<BTreeMap<(usize, usize), SweepError>> = Mutex::new(BTreeMap::new());
     let workers = cfg.threads.max(1).min(shards.len().max(1));
     let worker = || {
-        // One reusable trace buffer per worker (trace mode only):
-        // cleared between replicates, never reallocated.
-        let mut trace_buf: Option<Trace> = None;
         let mut claimed_any = false;
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -411,7 +395,7 @@ pub fn run_cells_with_stats(
                 engaged.fetch_add(1, Ordering::Relaxed);
             }
             let shard = shards[i];
-            match run_shard(&cells[shard.cell], &shard, cfg, &mut trace_buf) {
+            match run_shard(&cells[shard.cell], &shard, cfg) {
                 Ok(output) => {
                     slots.lock().expect("poisoned")[shard.cell][shard.slot] = Some(output);
                 }
@@ -474,7 +458,7 @@ fn cell_crash_plan(cell: &Cell, cfg: &SweepConfig) -> Vec<Option<u64>> {
 }
 
 /// Runs one shard — replicates `start .. start + len` of `cell`,
-/// sequentially, reusing `trace_buf` across replicates in trace mode.
+/// sequentially.
 ///
 /// Each replicate builds its algorithm from its own derived seed and runs
 /// it on a fresh [`Simulation`] or, on the `threads` backend, on real OS
@@ -490,12 +474,7 @@ fn cell_crash_plan(cell: &Cell, cfg: &SweepConfig) -> Vec<Option<u64>> {
 ///   [`crash_plan`] ticks, reused as per-processor step budgets;
 /// - `straggler:<pct>:<slowdown>` → a `slowdown ×` longer step pace for
 ///   the flagged processors.
-fn run_shard(
-    cell: &Cell,
-    shard: &Shard,
-    cfg: &SweepConfig,
-    trace_buf: &mut Option<Trace>,
-) -> Result<ShardOutput, SweepError> {
+fn run_shard(cell: &Cell, shard: &Shard, cfg: &SweepConfig) -> Result<ShardOutput, SweepError> {
     let instance =
         Instance::new(cell.p, cell.t).map_err(|e| SweepError::Instance(e.to_string()))?;
     let threads = cell.backend == Backend::Threads;
@@ -516,7 +495,7 @@ fn run_shard(
     let mut profile = cfg.trace.then(ProfilePartial::default);
     for k in shard.start..shard.start + shard.len {
         let seed = cell.run_seed(k);
-        let algo = build_algorithm(&cell.algo, instance, seed).expect("validated above");
+        let algo = build_algorithm(&cell.algo, instance, seed)?;
         let (report, stats) = if threads {
             let config = RuntimeConfig {
                 max_delay: THREADS_DELAY_QUANTUM
@@ -535,16 +514,10 @@ fn run_shard(
                 })?;
             (outcome.report, Some(outcome.stats))
         } else {
-            // Reuse the worker's buffer only when its capacity covers
-            // this cell — a buffer first sized for a smaller shape would
-            // truncate here, and `execution_profile` (rightly) rejects
-            // truncated traces. An undersized buffer is dropped and a
-            // correctly sized one allocated in its place.
-            let needed = trace_capacity(cell.p, cfg.max_ticks);
-            let mode = match trace_buf.take().filter(|buf| buf.capacity() >= needed) {
-                _ if !cfg.trace => TraceMode::Off,
-                Some(buf) => TraceMode::Recycled(buf),
-                None => TraceMode::Buffered(needed),
+            let mode = if cfg.trace {
+                TraceMode::Buffered(trace_capacity(cell.p, cfg.max_ticks))
+            } else {
+                TraceMode::Off
             };
             let adversary =
                 build_adversary(&cell.adversary, cell.p, cell.t, cell.d, seed, cfg.max_ticks);
@@ -557,7 +530,6 @@ fn run_shard(
                 .run_traced();
             if let (Some(partial), Some(trace)) = (profile.as_mut(), trace) {
                 partial.record(&execution_profile(&trace, cell.t));
-                *trace_buf = Some(trace);
             }
             (report, None)
         };
@@ -608,7 +580,7 @@ fn merge_cell(cell: &Cell, cfg: &SweepConfig, shards: Vec<Option<ShardOutput>>) 
         .iter()
         .map(|name| (name.to_string(), 0.0))
         .collect();
-    if cell.algo == ALGO_NONE {
+    if cell.algo == AlgoSpec::None {
         return CellMeasurement {
             cell: cell.clone(),
             summary: None,
@@ -879,11 +851,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_buffer_reuse_survives_growing_cell_shapes() {
-        // Regression: a worker's recycled trace buffer keeps the capacity
-        // it was first allocated with. With threads=1 the same worker
-        // runs a tiny cell (small capacity) and then a much bigger one —
-        // reusing the undersized buffer would truncate the big cell's
+    fn traced_sweeps_survive_growing_cell_shapes() {
+        // Regression: with threads=1 the same worker runs a tiny cell
+        // (small trace capacity) and then a much bigger one — a trace
+        // buffer sized for the first cell would truncate the big cell's
         // trace and panic the profile analysis.
         let cells = Grid::parse("algos=paran1 advs=fixed shapes=2x4,32x256 ds=2 seeds=1 seed=1")
             .unwrap()
@@ -898,7 +869,7 @@ mod tests {
         assert!(out.iter().all(|m| m.extras.contains_key("mean_primary")));
         // Every task needs at least one primary execution (concurrent
         // firsts can push the count above t); completing at all is the
-        // regression check — an undersized reused buffer panicked here.
+        // regression check — an undersized buffer panicked here.
         let primary = out[1].extras["mean_primary"];
         assert!(primary >= 256.0, "t=256 tasks all executed: {primary}");
     }
@@ -1069,7 +1040,7 @@ mod tests {
         let instance = Instance::new(16, 64).unwrap();
         let run = |key: &str, d: u64| {
             let spec = AdversarySpec::parse(key).unwrap();
-            let algo = build_algorithm("paran1", instance, 7).unwrap();
+            let algo = build_algorithm(&AlgoSpec::PaRan1, instance, 7).unwrap();
             Simulation::builder(instance)
                 .procs(algo.spawn(instance))
                 .adversary(build_adversary(&spec, 16, 64, d, 7, 1_000_000))
@@ -1147,13 +1118,29 @@ mod tests {
     }
 
     #[test]
-    fn bad_keys_fail_before_any_run() {
+    fn unbuildable_algorithms_fail_the_sweep() {
+        // Unknown keys cannot reach the engine (specs are parsed); what
+        // is left is an algorithm the instance cannot build —
+        // `padet-affine` over 4 units. Its error surfaces from the worker
+        // that builds it, at any thread count.
         let mut cells = small_grid().cells();
-        cells[0].algo = "frobnicate".to_string();
-        assert!(matches!(
-            run_cells(&cells, &SweepConfig::default()),
-            Err(SweepError::Bad(_))
-        ));
+        cells[5].algo = AlgoSpec::PaDetAffine;
+        for threads in [1, 4] {
+            let cfg = SweepConfig {
+                threads,
+                shard_size: Some(1),
+                ..SweepConfig::default()
+            };
+            match run_cells(&cells, &cfg) {
+                Err(SweepError::Bad(e)) => {
+                    assert!(
+                        e.to_string().contains("`padet-affine` at shape `4x8`"),
+                        "{e}"
+                    );
+                }
+                other => panic!("threads={threads}: wrong result {other:?}"),
+            }
+        }
     }
 
     #[test]

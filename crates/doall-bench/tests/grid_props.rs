@@ -1,13 +1,14 @@
 //! Property tests for the grid spec language: `Grid::parse` and
 //! `Display` round-trip over random axis contents — including the
 //! parameterized adversary grammar — duplicate axis values are always
-//! rejected, and numeric adversary knobs canonicalize to one spelling.
+//! rejected, and numeric algorithm parameters and adversary knobs
+//! canonicalize to one spelling.
 //! These are the invariants the sweep engine and the baseline comparator
 //! lean on (cells are keyed by their parameters, so a spec that
 //! re-parses differently or expands to duplicate cells would silently
 //! corrupt results).
 
-use doall_bench::grid::{AdversarySpec, Backend, CrashStagger, Grid};
+use doall_bench::grid::{AdversarySpec, AlgoSpec, Backend, CrashStagger, Grid};
 use proptest::prelude::*;
 
 /// Every algorithm key the grid language accepts, including the
@@ -66,6 +67,13 @@ fn subset(pool: &[&str], mask: u32) -> Vec<String> {
         .collect()
 }
 
+fn algo_subset(mask: u32) -> Vec<AlgoSpec> {
+    subset(ALGO_POOL, mask)
+        .iter()
+        .map(|key| AlgoSpec::parse(key).expect("pool keys are valid"))
+        .collect()
+}
+
 fn adversary_subset(mask: u32) -> Vec<AdversarySpec> {
     subset(ADV_POOL, mask)
         .iter()
@@ -105,7 +113,7 @@ fn arbitrary_grid(
     base_seed: u64,
 ) -> Grid {
     Grid {
-        algos: subset(ALGO_POOL, algo_mask),
+        algos: algo_subset(algo_mask),
         adversaries: adversary_subset(adv_mask),
         shapes: dedup_keep_order(raw_shapes),
         ds: dedup_keep_order(raw_ds),
@@ -202,6 +210,38 @@ proptest! {
         );
     }
 
+    /// Random `AlgoSpec`s round-trip through their rendered spelling, and
+    /// the numeric parameters of `da:<q>` and `gossip:<fanout>`
+    /// canonicalize: zero-padding or a `+` sign never creates a second
+    /// spelling — a second cell identity — of the same algorithm.
+    #[test]
+    fn algo_specs_round_trip_and_canonicalize(
+        q in 2usize..=8,
+        fanout in 1usize..=4096,
+        pad in 1usize..=4,
+        plus in any::<bool>(),
+        key_pick in 0usize..ALGO_POOL.len(),
+    ) {
+        let key = ALGO_POOL[key_pick];
+        prop_assert_eq!(AlgoSpec::parse(key).unwrap().to_string(), key);
+        let sign = if plus { "+" } else { "" };
+        for (spec, canonical, spelled) in [
+            (AlgoSpec::Da { q }, format!("da:{q}"), format!("da:{sign}{q:0pad$}")),
+            (
+                AlgoSpec::Gossip { fanout },
+                format!("gossip:{fanout}"),
+                format!("gossip:{sign}{fanout:0pad$}"),
+            ),
+        ] {
+            prop_assert_eq!(&spec.to_string(), &canonical);
+            prop_assert_eq!(AlgoSpec::parse(&canonical).unwrap(), spec);
+            prop_assert_eq!(AlgoSpec::parse(&spelled).unwrap(), spec, "`{}`", spelled);
+            // Two spellings of one algorithm are one axis value.
+            let dup = format!("algos={canonical},{spelled} advs=unit shapes=4x8");
+            prop_assert!(Grid::parse(&dup).is_err(), "`{}` accepted", dup);
+        }
+    }
+
     /// Duplicating any single value in any axis must be rejected — by
     /// `validate()` on the struct and by `parse()` on the rendered spec.
     #[test]
@@ -222,7 +262,7 @@ proptest! {
         // Duplicate one existing element of the chosen axis.
         match axis {
             0 => {
-                let v = bad.algos[pick as usize % bad.algos.len()].clone();
+                let v = bad.algos[pick as usize % bad.algos.len()];
                 bad.algos.push(v);
             }
             1 => {

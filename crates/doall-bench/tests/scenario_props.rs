@@ -13,7 +13,7 @@
 //! vendored proptest stub has no recursive strategies, and the failing
 //! integers reproduce the structure exactly.
 
-use doall_bench::grid::{AdversarySpec, Backend, Grid};
+use doall_bench::grid::{AdversarySpec, AlgoSpec, Backend, Grid};
 use doall_bench::scenario::{AggFn, Assertion, Cmp, Expr, Guard, Scenario};
 use proptest::prelude::*;
 
@@ -108,7 +108,10 @@ fn arbitrary_grid(g: &mut Gene) -> Grid {
         .collect();
     let ds: Vec<u64> = (0..1 + g.next() % 3).map(|_| 1 + g.next() % 64).collect();
     Grid {
-        algos: subset(ALGO_POOL, algo_mask),
+        algos: subset(ALGO_POOL, algo_mask)
+            .iter()
+            .map(|key| AlgoSpec::parse(key).expect("pool keys are valid"))
+            .collect(),
         adversaries: subset(ADV_POOL, adv_mask)
             .iter()
             .map(|key| AdversarySpec::parse(key).expect("pool keys are valid"))

@@ -7,11 +7,10 @@
 //!    (bus and per-recipient).
 //! 2. **The sweep engine's schedule is invisible.** A sweep is
 //!    byte-identical across `--threads {1, 8}` × `--shard-size {1, auto}`,
-//!    and a traced sweep (one recycled trace buffer per worker) measures
-//!    exactly what the untraced one does, apart from the trace-only
-//!    execution-profile means.
+//!    and a traced sweep measures exactly what the untraced one does,
+//!    apart from the trace-only execution-profile means.
 
-use doall_bench::grid::{build_adversary, build_algorithm, AdversarySpec, Grid};
+use doall_bench::grid::{build_adversary, build_algorithm, AdversarySpec, AlgoSpec, Grid};
 use doall_bench::sweep::{run_cells, SweepConfig};
 use doall_core::{Instance, RunReport};
 use doall_sim::{Simulation, TraceMode};
@@ -49,7 +48,8 @@ fn run_with(
     trace: TraceMode,
 ) -> (RunReport, bool) {
     let instance = Instance::new(p, t).expect("valid shape");
-    let algorithm = build_algorithm(algo, instance, seed).expect("valid algo key");
+    let algo = AlgoSpec::parse(algo).expect("valid algo key");
+    let algorithm = build_algorithm(&algo, instance, seed).expect("buildable algo");
     let spec = AdversarySpec::parse(adv).expect("valid adversary key");
     let adversary = build_adversary(&spec, p, t, d, seed, MAX_TICKS);
     let (report, trace_out) = Simulation::builder(instance)

@@ -50,10 +50,11 @@ const LIB_CRATES: &[&str] = &[
 ];
 
 /// Harness and facade modules that read user input (scenarios, grid
-/// specs, result sets, command lines), held to H001 like a library
-/// crate.
+/// specs, result sets, command lines) or run on every cell of it (the
+/// derive hooks), held to H001 like a library crate.
 const H001_PARSERS: &[&str] = &[
     "crates/doall-bench/src/compare.rs",
+    "crates/doall-bench/src/experiments.rs",
     "crates/doall-bench/src/grid.rs",
     "crates/doall-bench/src/resultset.rs",
     "crates/doall-bench/src/scenario.rs",
@@ -539,6 +540,12 @@ mod tests {
         );
         let hits = run("crates/doall-bench/src/grid.rs", boom);
         assert_eq!(hits[0].rule, RuleId::H001, "grid specs are user input");
+        let hits = run("crates/doall-bench/src/experiments.rs", boom);
+        assert_eq!(
+            hits[0].rule,
+            RuleId::H001,
+            "derive hooks run on every cell of a user's scenario file"
+        );
     }
 
     #[test]

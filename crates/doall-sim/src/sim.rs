@@ -186,31 +186,19 @@ impl Simulation {
     /// recording [`TraceMode`] was selected at build time).
     #[must_use]
     pub fn run_traced(mut self) -> (RunReport, Option<Trace>) {
-        let mut trace = match self.trace {
+        let (instance, max_ticks) = (self.instance, self.max_ticks);
+        let (procs, adversary) = (&mut self.procs, self.adversary.as_mut());
+        match self.trace {
             TraceMode::Off => {
-                let report = execute(
-                    self.instance,
-                    &mut self.procs,
-                    self.adversary.as_mut(),
-                    self.max_ticks,
-                    &mut NoTrace,
-                );
-                return (report, None);
+                let report = execute(instance, procs, adversary, max_ticks, &mut NoTrace);
+                (report, None)
             }
-            TraceMode::Buffered(capacity) => Trace::with_capacity(capacity),
-            TraceMode::Recycled(mut buffer) => {
-                buffer.clear();
-                buffer
+            TraceMode::Buffered(capacity) => {
+                let mut trace = Trace::with_capacity(capacity);
+                let report = execute(instance, procs, adversary, max_ticks, &mut trace);
+                (report, Some(trace))
             }
-        };
-        let report = execute(
-            self.instance,
-            &mut self.procs,
-            self.adversary.as_mut(),
-            self.max_ticks,
-            &mut trace,
-        );
-        (report, Some(trace))
+        }
     }
 }
 
@@ -644,31 +632,6 @@ mod tests {
             trace.events().last(),
             Some(TraceEvent::Completed { now: 1, .. })
         ));
-    }
-
-    #[test]
-    fn recycled_trace_keeps_capacity_and_is_reused() {
-        let instance = Instance::new(1, 2).unwrap();
-        let buffer = Trace::with_capacity(64);
-        let (_, trace) = Simulation::builder(instance)
-            .procs(sweep_procs(1, 2))
-            .adversary(Box::new(UnitDelay))
-            .trace(TraceMode::Recycled(buffer))
-            .build()
-            .run_traced();
-        let trace = trace.unwrap();
-        assert_eq!(trace.capacity(), 64);
-        assert!(!trace.events().is_empty());
-        // Hand it straight back in: cleared on entry, same capacity out.
-        let (_, trace2) = Simulation::builder(instance)
-            .procs(sweep_procs(1, 2))
-            .adversary(Box::new(UnitDelay))
-            .trace(TraceMode::Recycled(trace))
-            .build()
-            .run_traced();
-        let trace2 = trace2.unwrap();
-        assert_eq!(trace2.capacity(), 64);
-        assert_eq!(trace2.dropped(), 0);
     }
 
     #[test]

@@ -35,7 +35,8 @@ pub enum TraceEvent {
     },
 }
 
-/// Whether (and into what) a simulation records its event trace.
+/// Whether a simulation records its event trace, and how many events
+/// it keeps.
 ///
 /// Chosen at build time via `SimulationBuilder::trace`. `Off` is not
 /// merely "record nothing": the simulator monomorphizes its inner loop on
@@ -49,12 +50,6 @@ pub enum TraceMode {
     Off,
     /// Record into a fresh collector retaining at most this many events.
     Buffered(usize),
-    /// Record into an existing collector, reusing its allocation (and
-    /// keeping its capacity). The collector is cleared first, so callers
-    /// hand the trace returned by a previous `run_traced` straight back
-    /// in — batch sweeps recycle one buffer per worker instead of growing
-    /// a fresh multi-million-entry buffer per replicate.
-    Recycled(Trace),
 }
 
 /// The compile-time recording hook the simulation loop is monomorphized
@@ -120,24 +115,6 @@ impl Trace {
         } else {
             self.dropped += 1;
         }
-    }
-
-    /// Empties the collector for reuse, keeping the event allocation and
-    /// the capacity. Long trace-mode sweeps hand one collector from run
-    /// to run (see [`TraceMode::Recycled`]) instead of growing a fresh
-    /// multi-million-entry buffer per replicate.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-    }
-
-    /// The capacity this collector was created with — callers recycling
-    /// buffers across runs of different sizes check this before reuse
-    /// (an undersized buffer would truncate, which the profile analysis
-    /// rejects).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// The retained events, in order.

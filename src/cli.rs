@@ -33,14 +33,15 @@ use doall_bench::compare::{
     compare, compare_files, load_result_set, preserve_measured_values, BaselineSet,
 };
 use doall_bench::grid::{
-    build_adversary, build_algorithm, validate_adversary_key, validate_algo_key, validate_setup,
-    validate_shape, AdversarySpec, Backend, Grid,
+    build_adversary, build_algorithm, validate_setup, validate_shape, AdversarySpec, AlgoSpec,
+    Backend, Grid,
 };
 use doall_bench::resultset::{Record, ResultSet};
 use doall_bench::suite::{load_dir, run_suite, SuiteConfig};
 use doall_bench::sweep::{run_cells, SweepConfig};
 use std::fmt;
 use std::path::Path;
+use std::slice::Iter;
 
 /// Tick budget for `simulate` and CLI sweeps (generous: the CLI accepts
 /// paper-scale lower-bound scenarios that legitimately run long).
@@ -132,7 +133,7 @@ pub enum Format {
 
 /// Renders `results` in `format` and delivers it to `out` (or stdout).
 /// Tables always go to stdout.
-fn emit(results: &ResultSet, format: Format, out: Option<&str>) -> Result<(), String> {
+fn emit(results: &ResultSet, format: Format, out: Option<&str>) -> Result<(), CliError> {
     let rendered = match format {
         Format::Table => {
             results.print_tables();
@@ -141,15 +142,24 @@ fn emit(results: &ResultSet, format: Format, out: Option<&str>) -> Result<(), St
         Format::Json => results.to_json(),
         Format::Csv => results.to_csv(),
     };
+    deliver(&rendered, out, true)?;
+    Ok(())
+}
+
+/// Writes a rendered report to `out` (or stdout) and maps its verdict to
+/// the exit outcome: a clean report exits 0, a flagged one 1.
+fn deliver(rendered: &str, out: Option<&str>, clean: bool) -> Result<Outcome, CliError> {
     match out {
         Some(path) => {
-            std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))
+            std::fs::write(path, rendered).map_err(|e| err(format!("cannot write {path}: {e}")))?
         }
-        None => {
-            print!("{rendered}");
-            Ok(())
-        }
+        None => print!("{rendered}"),
     }
+    Ok(if clean {
+        Outcome::Clean
+    } else {
+        Outcome::Drift
+    })
 }
 
 /// Parameters of the `test` subcommand: a scenario directory plus the
@@ -216,16 +226,16 @@ pub struct LintSpec {
 /// Common parameters of `simulate`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSpec {
-    /// Algorithm key (see [`RunSpec::algorithm`]).
-    pub algo: String,
+    /// Algorithm (see [`RunSpec::algorithm`]).
+    pub algo: AlgoSpec,
     /// Processors.
     pub p: usize,
     /// Tasks.
     pub t: usize,
     /// Delay bound handed to the adversary.
     pub d: u64,
-    /// Adversary key (see [`RunSpec::adversary`]).
-    pub adversary: String,
+    /// Adversary (see [`RunSpec::adversary`]).
+    pub adversary: AdversarySpec,
     /// Seed for randomized algorithms/adversaries.
     pub seed: u64,
 }
@@ -354,24 +364,20 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut p = None;
             let mut t = None;
             let mut d = 1u64;
-            let mut adversary = "stage".to_string();
+            let mut adversary = AdversarySpec::Stage;
             let mut seed = 0u64;
             let mut have_d = false;
             while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {flag} needs a value")))
-                };
                 match flag.as_str() {
-                    "--algo" => algo = Some(value()?.clone()),
-                    "-p" => p = Some(parse_num(value()?, "-p")?),
-                    "-t" => t = Some(parse_num(value()?, "-t")?),
+                    "--algo" => algo = Some(parse_algo(value_of(&mut it, flag)?)?),
+                    "-p" => p = Some(parse_num(value_of(&mut it, flag)?, "-p")?),
+                    "-t" => t = Some(parse_num(value_of(&mut it, flag)?, "-t")?),
                     "-d" => {
-                        d = parse_num(value()?, "-d")? as u64;
+                        d = parse_num(value_of(&mut it, flag)?, "-d")? as u64;
                         have_d = true;
                     }
-                    "--adversary" => adversary = value()?.clone(),
-                    "--seed" => seed = parse_num(value()?, "--seed")? as u64,
+                    "--adversary" => adversary = parse_adversary(value_of(&mut it, flag)?)?,
+                    "--seed" => seed = parse_num(value_of(&mut it, flag)?, "--seed")? as u64,
                     other => return Err(err(format!("unknown flag {other}"))),
                 }
             }
@@ -395,49 +401,22 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut p = None;
             let mut t = None;
             let mut ds: Option<Vec<u64>> = None;
-            let mut adversary = "stage".to_string();
+            let mut adversary = AdversarySpec::Stage;
             let mut seed = 0u64;
-            let mut threads = None;
-            let mut shard_size = None;
-            let mut max_ticks = None;
+            let mut engine = EngineFlags::default();
             let mut format = Format::Table;
             let mut out = None;
             let mut compare = None;
             let mut tolerance = 0.0f64;
             while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {flag} needs a value")))
-                };
                 match flag.as_str() {
-                    "--grid" => grid_spec = Some(value()?.clone()),
-                    "--algo" => algo = Some(value()?.clone()),
-                    "-p" => p = Some(parse_num(value()?, "-p")?),
-                    "-t" => t = Some(parse_num(value()?, "-t")?),
-                    "-d" => ds = Some(vec![parse_num(value()?, "-d")? as u64]),
-                    "--adversary" => adversary = value()?.clone(),
-                    "--seed" => seed = parse_num(value()?, "--seed")? as u64,
-                    "--threads" => {
-                        let n = parse_num(value()?, "--threads")?;
-                        if n == 0 {
-                            return Err(err("--threads must be at least 1"));
-                        }
-                        threads = Some(n);
-                    }
-                    "--shard-size" => {
-                        let n = parse_num(value()?, "--shard-size")? as u64;
-                        if n == 0 {
-                            return Err(err("--shard-size must be at least 1"));
-                        }
-                        shard_size = Some(n);
-                    }
-                    "--max-ticks" => {
-                        let n = parse_num(value()?, "--max-ticks")? as u64;
-                        if n == 0 {
-                            return Err(err("--max-ticks must be at least 1"));
-                        }
-                        max_ticks = Some(n);
-                    }
+                    "--grid" => grid_spec = Some(value_of(&mut it, flag)?.clone()),
+                    "--algo" => algo = Some(parse_algo(value_of(&mut it, flag)?)?),
+                    "-p" => p = Some(parse_num(value_of(&mut it, flag)?, "-p")?),
+                    "-t" => t = Some(parse_num(value_of(&mut it, flag)?, "-t")?),
+                    "-d" => ds = Some(vec![parse_num(value_of(&mut it, flag)?, "-d")? as u64]),
+                    "--adversary" => adversary = parse_adversary(value_of(&mut it, flag)?)?,
+                    "--seed" => seed = parse_num(value_of(&mut it, flag)?, "--seed")? as u64,
                     // The two formats conflict, and --out without a format
                     // means JSON (a file of Markdown tables is never the ask).
                     "--json" => {
@@ -452,10 +431,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         }
                         format = Format::Csv;
                     }
-                    "--out" => out = Some(value()?.clone()),
-                    "--compare" => compare = Some(value()?.clone()),
-                    "--tolerance" => tolerance = parse_tolerance(value()?)?,
-                    other => return Err(err(format!("unknown flag {other}"))),
+                    "--out" => out = Some(value_of(&mut it, flag)?.clone()),
+                    "--compare" => compare = Some(value_of(&mut it, flag)?.clone()),
+                    "--tolerance" => tolerance = parse_tolerance(value_of(&mut it, flag)?)?,
+                    other => engine.read(other, &mut it)?,
                 }
             }
             if out.is_some() && format == Format::Table {
@@ -491,8 +470,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     }
                     let grid = Grid {
                         algos: vec![algo],
-                        adversaries: vec![AdversarySpec::parse(&adversary)
-                            .map_err(|e| err(format!("{e}; try `doall help`")))?],
+                        adversaries: vec![adversary],
                         shapes: vec![(p, t)],
                         ds,
                         backends: vec![Backend::Sim],
@@ -503,12 +481,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     grid
                 }
             };
-            grid.validate().map_err(|e| err(e.to_string()))?;
             Ok(Command::Sweep(SweepSpec {
                 grid,
-                threads,
-                shard_size,
-                max_ticks,
+                threads: engine.threads,
+                shard_size: engine.shard_size,
+                max_ticks: engine.max_ticks,
                 format,
                 out,
                 compare,
@@ -519,68 +496,32 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut suite = None;
             let mut smoke = false;
             let mut only = None;
-            let mut threads = None;
-            let mut shard_size = None;
-            let mut max_ticks = None;
+            let mut engine = EngineFlags::default();
             let mut baseline = None;
             let mut tolerance = 0.0f64;
             let mut json = false;
             let mut out = None;
             let mut record = false;
             while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {flag} needs a value")))
-                };
                 match flag.as_str() {
-                    "--suite" => suite = Some(value()?.clone()),
+                    "--suite" => suite = Some(value_of(&mut it, flag)?.clone()),
                     "--smoke" => smoke = true,
-                    "--only" => {
-                        only = Some(
-                            value()?
-                                .split(',')
-                                .map(str::trim)
-                                .filter(|s| !s.is_empty())
-                                .map(String::from)
-                                .collect::<Vec<_>>(),
-                        );
-                    }
-                    "--threads" => {
-                        let n = parse_num(value()?, "--threads")?;
-                        if n == 0 {
-                            return Err(err("--threads must be at least 1"));
-                        }
-                        threads = Some(n);
-                    }
-                    "--shard-size" => {
-                        let n = parse_num(value()?, "--shard-size")? as u64;
-                        if n == 0 {
-                            return Err(err("--shard-size must be at least 1"));
-                        }
-                        shard_size = Some(n);
-                    }
-                    "--max-ticks" => {
-                        let n = parse_num(value()?, "--max-ticks")? as u64;
-                        if n == 0 {
-                            return Err(err("--max-ticks must be at least 1"));
-                        }
-                        max_ticks = Some(n);
-                    }
-                    "--baseline" => baseline = Some(value()?.clone()),
+                    "--only" => only = Some(parse_only(value_of(&mut it, flag)?, "scenario id")?),
+                    "--baseline" => baseline = Some(value_of(&mut it, flag)?.clone()),
                     "--record" => record = true,
-                    "--tolerance" => tolerance = parse_tolerance(value()?)?,
+                    "--tolerance" => tolerance = parse_tolerance(value_of(&mut it, flag)?)?,
                     "--json" => json = true,
-                    "--out" => out = Some(value()?.clone()),
-                    other => return Err(err(format!("unknown flag {other}"))),
+                    "--out" => out = Some(value_of(&mut it, flag)?.clone()),
+                    other => engine.read(other, &mut it)?,
                 }
             }
             let spec = TestSpec {
                 suite: suite.ok_or_else(|| err("--suite is required"))?,
                 smoke,
                 only,
-                threads,
-                shard_size,
-                max_ticks,
+                threads: engine.threads,
+                shard_size: engine.shard_size,
+                max_ticks: engine.max_ticks,
                 baseline,
                 tolerance,
                 json,
@@ -590,9 +531,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             if spec.record && spec.baseline.is_none() {
                 return Err(err("--record needs --baseline (the file to regenerate)"));
             }
-            if spec.only.as_ref().is_some_and(Vec::is_empty) {
-                return Err(err("--only needs at least one scenario id"));
-            }
             Ok(Command::Test(spec))
         }
         "compare" => {
@@ -601,14 +539,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut json = false;
             let mut out = None;
             while let Some(arg) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {arg} needs a value")))
-                };
                 match arg.as_str() {
-                    "--tolerance" => tolerance = parse_tolerance(value()?)?,
+                    "--tolerance" => tolerance = parse_tolerance(value_of(&mut it, arg)?)?,
                     "--json" => json = true,
-                    "--out" => out = Some(value()?.clone()),
+                    "--out" => out = Some(value_of(&mut it, arg)?.clone()),
                     flag if flag.starts_with('-') => {
                         return Err(err(format!("unknown flag {flag}")));
                     }
@@ -635,29 +569,13 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut only = None;
             let mut root = None;
             while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {flag} needs a value")))
-                };
                 match flag.as_str() {
                     "--json" => json = true,
-                    "--out" => out = Some(value()?.clone()),
-                    "--only" => {
-                        only = Some(
-                            value()?
-                                .split(',')
-                                .map(str::trim)
-                                .filter(|s| !s.is_empty())
-                                .map(String::from)
-                                .collect::<Vec<_>>(),
-                        );
-                    }
-                    "--root" => root = Some(value()?.clone()),
+                    "--out" => out = Some(value_of(&mut it, flag)?.clone()),
+                    "--only" => only = Some(parse_only(value_of(&mut it, flag)?, "rule id")?),
+                    "--root" => root = Some(value_of(&mut it, flag)?.clone()),
                     other => return Err(err(format!("unknown flag {other}"))),
                 }
-            }
-            if only.as_ref().is_some_and(Vec::is_empty) {
-                return Err(err("--only needs at least one rule id"));
             }
             // Validate rule ids eagerly so typos fail before any I/O.
             for id in only.iter().flatten() {
@@ -673,14 +591,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "contention" => {
             let (mut p, mut n, mut seed) = (None, None, 0u64);
             while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {flag} needs a value")))
-                };
                 match flag.as_str() {
-                    "-p" => p = Some(parse_num(value()?, "-p")?),
-                    "-n" => n = Some(parse_num(value()?, "-n")?),
-                    "--seed" => seed = parse_num(value()?, "--seed")? as u64,
+                    "-p" => p = Some(parse_num(value_of(&mut it, flag)?, "-p")?),
+                    "-n" => n = Some(parse_num(value_of(&mut it, flag)?, "-n")?),
+                    "--seed" => seed = parse_num(value_of(&mut it, flag)?, "--seed")? as u64,
                     other => return Err(err(format!("unknown flag {other}"))),
                 }
             }
@@ -693,14 +607,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "bounds" => {
             let (mut p, mut t, mut d) = (None, None, None);
             while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {flag} needs a value")))
-                };
                 match flag.as_str() {
-                    "-p" => p = Some(parse_num(value()?, "-p")?),
-                    "-t" => t = Some(parse_num(value()?, "-t")?),
-                    "-d" => d = Some(parse_num(value()?, "-d")? as u64),
+                    "-p" => p = Some(parse_num(value_of(&mut it, flag)?, "-p")?),
+                    "-t" => t = Some(parse_num(value_of(&mut it, flag)?, "-t")?),
+                    "-d" => d = Some(parse_num(value_of(&mut it, flag)?, "-d")? as u64),
                     other => return Err(err(format!("unknown flag {other}"))),
                 }
             }
@@ -714,6 +624,65 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             "unknown subcommand `{other}`; try `doall help`"
         ))),
     }
+}
+
+/// The engine flags `sweep` and `test` share. They change wall-clock
+/// only, never a result.
+#[derive(Default)]
+struct EngineFlags {
+    threads: Option<usize>,
+    shard_size: Option<u64>,
+    max_ticks: Option<u64>,
+}
+
+impl EngineFlags {
+    /// Reads `--threads`, `--shard-size` or `--max-ticks` (each at least
+    /// 1) and its value; any other flag is unknown.
+    fn read(&mut self, flag: &str, it: &mut Iter<'_, String>) -> Result<(), CliError> {
+        if !matches!(flag, "--threads" | "--shard-size" | "--max-ticks") {
+            return Err(err(format!("unknown flag {flag}")));
+        }
+        let n = parse_num(value_of(it, flag)?, flag)?;
+        if n == 0 {
+            return Err(err(format!("{flag} must be at least 1")));
+        }
+        match flag {
+            "--threads" => self.threads = Some(n),
+            "--shard-size" => self.shard_size = Some(n as u64),
+            _ => self.max_ticks = Some(n as u64),
+        }
+        Ok(())
+    }
+}
+
+/// The value following `flag` on the command line.
+fn value_of<'a>(it: &mut Iter<'a, String>, flag: &str) -> Result<&'a String, CliError> {
+    it.next()
+        .ok_or_else(|| err(format!("flag {flag} needs a value")))
+}
+
+/// Splits a comma-separated `--only` list of `what`s, dropping blanks.
+fn parse_only(list: &str, what: &str) -> Result<Vec<String>, CliError> {
+    let ids: Vec<String> = list
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(String::from)
+        .collect();
+    if ids.is_empty() {
+        return Err(err(format!("--only needs at least one {what}")));
+    }
+    Ok(ids)
+}
+
+/// Parses an `--algo` key.
+fn parse_algo(key: &str) -> Result<AlgoSpec, CliError> {
+    AlgoSpec::parse(key).map_err(|e| err(format!("{e}; try `doall help`")))
+}
+
+/// Parses an `--adversary` key.
+fn parse_adversary(key: &str) -> Result<AdversarySpec, CliError> {
+    AdversarySpec::parse(key).map_err(|e| err(format!("{e}; try `doall help`")))
 }
 
 fn parse_num(s: &str, flag: &str) -> Result<usize, CliError> {
@@ -740,22 +709,20 @@ impl RunSpec {
             return Err(err("-d must be at least 1"));
         }
         validate_shape(self.p, self.t).map_err(|e| err(e.to_string()))?;
-        // Validate keys eagerly (syntax only — building searched-list
+        // Check the set-up size without building (building searched-list
         // algorithms like `oblido-searched` here would run the certified
         // search twice per invocation) so errors surface before a long run.
-        validate_algo_key(&self.algo).map_err(|e| err(format!("{e}; try `doall help`")))?;
         validate_setup(&self.algo, self.p, self.t).map_err(|e| err(e.to_string()))?;
-        validate_adversary_key(&self.adversary)
-            .map_err(|e| err(format!("{e}; try `doall help`")))?;
         Ok(())
     }
 
-    /// Builds the algorithm named by `self.algo` via the shared
-    /// harness constructor ([`doall_bench::grid::build_algorithm`]).
+    /// Builds `self.algo` via the shared harness constructor
+    /// ([`doall_bench::grid::build_algorithm`]).
     ///
     /// # Errors
     ///
-    /// Returns a [`CliError`] for an unknown key.
+    /// Returns a [`CliError`] for `none` or an algorithm the instance
+    /// cannot build.
     pub fn algorithm(&self) -> Result<Box<dyn Algorithm>, CliError> {
         let instance =
             Instance::new(self.p, self.t).map_err(|e| err(format!("bad instance: {e}")))?;
@@ -763,25 +730,18 @@ impl RunSpec {
             .map_err(|e| err(format!("{e}; try `doall help`")))
     }
 
-    /// Builds the adversary named by `self.adversary` with bound `d` via
-    /// the shared harness grammar and constructor
-    /// ([`doall_bench::grid::AdversarySpec`] /
-    /// [`doall_bench::grid::build_adversary`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CliError`] for an unknown key or bad knob.
-    pub fn adversary(&self) -> Result<Box<dyn Adversary>, CliError> {
-        let spec = AdversarySpec::parse(&self.adversary)
-            .map_err(|e| err(format!("{e}; try `doall help`")))?;
-        Ok(build_adversary(
-            &spec,
+    /// Builds `self.adversary` with bound `d` via the shared harness
+    /// constructor ([`doall_bench::grid::build_adversary`]).
+    #[must_use]
+    pub fn adversary(&self) -> Box<dyn Adversary> {
+        build_adversary(
+            &self.adversary,
             self.p,
             self.t,
             self.d,
             self.seed,
             CLI_MAX_TICKS,
-        ))
+        )
     }
 }
 
@@ -806,8 +766,8 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             let algo = spec.algorithm()?;
             let report = Simulation::builder(instance)
                 .procs(algo.spawn(instance))
-                .adversary(spec.adversary()?)
-                .max_ticks(50_000_000)
+                .adversary(spec.adversary())
+                .max_ticks(CLI_MAX_TICKS)
                 .build()
                 .run();
             println!(
@@ -864,7 +824,7 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             if spec.format == Format::Table {
                 println!("sweep | {}", spec.grid);
             }
-            emit(&results, spec.format, spec.out.as_deref()).map_err(err)?;
+            emit(&results, spec.format, spec.out.as_deref())?;
             if let Some(baseline_path) = &spec.compare {
                 let baseline = load_result_set(baseline_path).map_err(|e| err(e.to_string()))?;
                 let current = BaselineSet::of(&results);
@@ -928,16 +888,7 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             } else {
                 report.render_table()
             };
-            match &spec.out {
-                Some(path) => std::fs::write(path, rendered)
-                    .map_err(|e| err(format!("cannot write {path}: {e}")))?,
-                None => print!("{rendered}"),
-            }
-            Ok(if report.is_clean() {
-                Outcome::Clean
-            } else {
-                Outcome::Drift
-            })
+            deliver(&rendered, spec.out.as_deref(), report.is_clean())
         }
         Command::Compare(spec) => {
             let comparison = compare_files(&spec.old, &spec.new, spec.tolerance)
@@ -947,16 +898,7 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             } else {
                 comparison.render_text()
             };
-            match &spec.out {
-                Some(path) => std::fs::write(path, rendered)
-                    .map_err(|e| err(format!("cannot write {path}: {e}")))?,
-                None => print!("{rendered}"),
-            }
-            Ok(if comparison.is_clean() {
-                Outcome::Clean
-            } else {
-                Outcome::Drift
-            })
+            deliver(&rendered, spec.out.as_deref(), comparison.is_clean())
         }
         Command::Lint(spec) => {
             let root = match &spec.root {
@@ -982,16 +924,7 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             } else {
                 report.render_text()
             };
-            match &spec.out {
-                Some(path) => std::fs::write(path, rendered)
-                    .map_err(|e| err(format!("cannot write {path}: {e}")))?,
-                None => print!("{rendered}"),
-            }
-            Ok(if report.is_clean() {
-                Outcome::Clean
-            } else {
-                Outcome::Drift
-            })
+            deliver(&rendered, spec.out.as_deref(), report.is_clean())
         }
         Command::Contention { p, n, seed } => {
             if *p == 0 || *n == 0 {
@@ -1066,9 +999,9 @@ mod tests {
         let cmd = parse(&args("simulate --algo paran2 -p 8 -t 32 -d 4")).unwrap();
         match cmd {
             Command::Simulate(spec) => {
-                assert_eq!(spec.algo, "paran2");
+                assert_eq!(spec.algo, AlgoSpec::PaRan2);
                 assert_eq!((spec.p, spec.t, spec.d), (8, 32, 4));
-                assert_eq!(spec.adversary, "stage");
+                assert_eq!(spec.adversary, AdversarySpec::Stage);
                 assert_eq!(spec.seed, 0);
             }
             other => panic!("wrong command: {other:?}"),
@@ -1083,8 +1016,8 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Simulate(spec) => {
-                assert_eq!(spec.algo, "da:3");
-                assert_eq!(spec.adversary, "fixed");
+                assert_eq!(spec.algo, AlgoSpec::Da { q: 3 });
+                assert_eq!(spec.adversary, AdversarySpec::Fixed);
                 assert_eq!(spec.seed, 7);
             }
             other => panic!("wrong command: {other:?}"),
@@ -1162,15 +1095,15 @@ mod tests {
                 "straggler:25:4",
             ] {
                 let spec = RunSpec {
-                    algo: algo.to_string(),
+                    algo: AlgoSpec::parse(algo).unwrap(),
                     p: 4,
                     t: 8,
                     d: 2,
-                    adversary: adv.to_string(),
+                    adversary: AdversarySpec::parse(adv).unwrap(),
                     seed: 1,
                 };
                 assert!(spec.algorithm().is_ok(), "{algo}");
-                assert!(spec.adversary().is_ok(), "{adv}");
+                assert!(!spec.adversary().name().is_empty(), "{adv}");
             }
         }
     }
@@ -1208,7 +1141,7 @@ mod tests {
             records: vec![Record {
                 experiment: "e01".to_string(),
                 cell: doall_bench::grid::Cell {
-                    algo: "soloall".to_string(),
+                    algo: AlgoSpec::SoloAll,
                     adversary: AdversarySpec::Stage,
                     p: 4,
                     t: 16,
@@ -1257,11 +1190,11 @@ mod tests {
     #[test]
     fn simulate_round_trips() {
         let spec = RunSpec {
-            algo: "da:4".to_string(),
+            algo: AlgoSpec::Da { q: 4 },
             p: 9,
             t: 81,
             d: 3,
-            adversary: "bursty".to_string(),
+            adversary: AdversarySpec::Bursty { period: None },
             seed: 1234,
         };
         assert_eq!(
@@ -1279,7 +1212,7 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Sweep(spec) => {
-                assert_eq!(spec.grid.algos, vec!["gossip:3"]);
+                assert_eq!(spec.grid.algos, vec![AlgoSpec::Gossip { fanout: 3 }]);
                 assert_eq!(
                     spec.grid.adversaries,
                     vec![AdversarySpec::Lbrand { stage: None }]
@@ -1314,7 +1247,10 @@ mod tests {
         ];
         match parse(&argv).unwrap() {
             Command::Sweep(spec) => {
-                assert_eq!(spec.grid.algos, vec!["da:3", "paran1"]);
+                assert_eq!(
+                    spec.grid.algos,
+                    vec![AlgoSpec::Da { q: 3 }, AlgoSpec::PaRan1]
+                );
                 assert_eq!(spec.grid.seeds, 2);
                 assert_eq!(spec.threads, Some(2));
                 assert_eq!(spec.format, Format::Json);
